@@ -4,26 +4,22 @@
 // equal-shape matrices alternating between slow-converging (gaussian) and
 // near-instant (diagonal) — identical cost *estimates*, very different
 // runtimes — plus one large matrix that dominates the batch's total cost
-// and therefore qualifies for a nested single-matrix split on borrowed
-// workers.  For each (threads x split-threshold) combination it records
-// wall clock, throughput, steal counts, nested splits, and per-worker idle
-// time, and checks every result bit-for-bit against the per-item
-// sequential svd() reference — the scheduler must never change a single
-// bit.
+// and so sets the tail of the wave (every item runs single-threaded).  For
+// each thread count it records wall clock, throughput, steal counts and
+// per-worker idle time, and checks every result bit-for-bit against the
+// per-item sequential svd() reference — the scheduler must never change a
+// single bit.
 //
 // Results go to BENCH_batch_sweep.json (gated by scripts/bench_gate.py).
-// On a single-core host the speedups hover around 1.0x; the steal counts
-// and bit-identity checks are the meaningful assertions.
+// The steal counts and bit-identity checks are the meaningful assertions;
+// speedups depend on how many cores the host gives the run.
 #include <algorithm>
 #include <cstddef>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "api/svd.hpp"
 #include "common/cli.hpp"
@@ -80,8 +76,6 @@ int main(int argc, char** argv) {
   cli.add_option("large-n", "96", "size of the dominant square matrix");
   cli.add_option("threads", "1,2,4", "thread counts to benchmark");
   cli.add_option("reps", "3", "repetitions per timing (best-of)");
-  cli.add_option("split-threshold", "0.25",
-                 "batch_split_min_fraction of the split-enabled runs");
   cli.add_option("out", "BENCH_batch_sweep.json", "JSON output path");
   cli.parse(argc, argv);
   const auto count = static_cast<std::size_t>(cli.get_int("count"));
@@ -89,13 +83,7 @@ int main(int argc, char** argv) {
   const auto large_n = static_cast<std::size_t>(cli.get_int("large-n"));
   const auto threads = cli.get_int_list("threads");
   const int reps = static_cast<int>(cli.get_int("reps"));
-  const double split_threshold = cli.get_double("split-threshold");
-
-#ifdef _OPENMP
-  const int hw_threads = omp_get_max_threads();
-#else
-  const int hw_threads = 1;
-#endif
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::cout << "== Work-stealing batch scheduler ==\n"
             << "hardware threads available: " << hw_threads << "\n\n";
 
@@ -118,15 +106,14 @@ int main(int argc, char** argv) {
        << manifest("count=" + cli.get("count") + " small-n=" +
                    cli.get("small-n") + " large-n=" + cli.get("large-n") +
                    " threads=" + cli.get("threads") + " reps=" +
-                   cli.get("reps") + " split-threshold=" +
-                   cli.get("split-threshold"))
+                   cli.get("reps"))
        << ",\n"
        << "  \"hardware_threads\": " << hw_threads << ",\n"
        << "  \"count\": " << batch.size() << ",\n"
        << "  \"reps\": " << reps << ",\n  \"runs\": [\n";
 
-  AsciiTable table({"threads", "split", "seconds", "matrices/s", "steals",
-                    "nested", "idle (s)"});
+  AsciiTable table({"threads", "seconds", "matrices/s", "steals",
+                    "idle (s)"});
   table.set_caption(
       "svd_batch over " + std::to_string(count) + " x " +
       std::to_string(small_n) + "x" + std::to_string(small_n) +
@@ -137,46 +124,35 @@ int main(int argc, char** argv) {
   std::uint64_t max_steals_multithread = 0;
   bool first_run = true;
   for (int t : threads) {
-    for (int split_on : {0, 1}) {
-      SvdOptions opt;
-      opt.batch_split_min_fraction = split_on ? split_threshold : 0.0;
-      std::vector<SvdResult> out;
-      SvdBatchStats stats;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        Timer timer;
-        out = svd_batch(batch, opt, static_cast<std::size_t>(t), &stats);
-        best = std::min(best, timer.seconds());
-      }
-      bool ok = out.size() == refs.size();
-      for (std::size_t i = 0; ok && i < out.size(); ++i)
-        ok = values_bit_identical(out[i], refs[i]);
-      all_identical = all_identical && ok;
-      if (t >= 2)
-        max_steals_multithread =
-            std::max(max_steals_multithread, stats.steals);
-      double idle_sum = 0.0;
-      for (double s : stats.worker_idle_s) idle_sum += s;
-      const double per_s = static_cast<double>(batch.size()) / best;
-      json << (first_run ? "" : ",\n") << "    {\"threads\": " << t
-           << ", \"split\": " << (split_on ? fmt(split_threshold) : "0")
-           << ", \"seconds\": " << fmt(best)
-           << ", \"matrices_per_s\": " << fmt(per_s)
-           << ", \"steals\": " << stats.steals
-           << ", \"nested_splits\": " << stats.nested_splits
-           << ", \"helpers_granted\": " << stats.helpers_granted
-           << ", \"idle_fraction\": "
-           << fmt(stats.wall_s > 0.0
-                      ? idle_sum / (stats.wall_s *
-                                    static_cast<double>(stats.workers))
-                      : 0.0)
-           << ", \"bit_identical\": " << (ok ? "true" : "false") << "}";
-      first_run = false;
-      table.add_row({std::to_string(t), split_on ? fmt(split_threshold) : "0",
-                     fmt(best), format_fixed(per_s, 1),
-                     std::to_string(stats.steals),
-                     std::to_string(stats.nested_splits), fmt(idle_sum)});
+    std::vector<SvdResult> out;
+    SvdBatchStats stats;
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      Timer timer;
+      out = svd_batch(batch, {}, static_cast<std::size_t>(t), &stats);
+      best = std::min(best, timer.seconds());
     }
+    bool ok = out.size() == refs.size();
+    for (std::size_t i = 0; ok && i < out.size(); ++i)
+      ok = values_bit_identical(out[i], refs[i]);
+    all_identical = all_identical && ok;
+    if (t >= 2)
+      max_steals_multithread = std::max(max_steals_multithread, stats.steals);
+    double idle_sum = 0.0;
+    for (double s : stats.worker_idle_s) idle_sum += s;
+    const double per_s = static_cast<double>(batch.size()) / best;
+    json << (first_run ? "" : ",\n") << "    {\"threads\": " << t
+         << ", \"seconds\": " << fmt(best)
+         << ", \"matrices_per_s\": " << fmt(per_s)
+         << ", \"steals\": " << stats.steals << ", \"idle_fraction\": "
+         << fmt(stats.wall_s > 0.0
+                    ? idle_sum /
+                          (stats.wall_s * static_cast<double>(stats.workers))
+                    : 0.0)
+         << ", \"bit_identical\": " << (ok ? "true" : "false") << "}";
+    first_run = false;
+    table.add_row({std::to_string(t), fmt(best), format_fixed(per_s, 1),
+                   std::to_string(stats.steals), fmt(idle_sum)});
   }
   json << "\n  ],\n  \"max_steals_multithread\": " << max_steals_multithread
        << ",\n  \"all_bit_identical\": " << (all_identical ? "true" : "false")

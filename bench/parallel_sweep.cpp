@@ -7,11 +7,12 @@
 // checked bit-for-bit against its sequential reference — speedup numbers are
 // only meaningful if the determinism contract holds.
 //
-// Results are written as JSON (default BENCH_parallel_sweep.json) so runs on
-// different hosts can be compared; on a single-core host the speedups are
-// expected to hover around 1.0x.  A second section compares the blocked
-// engine against the param-FIFO pipelined engine at larger sizes and writes
-// its results to a separate file (default BENCH_pipelined_sweep.json).
+// The parallel engines run their per-round loops on a WorkStealingPool of
+// the benchmarked thread count.  Results are written as JSON (default
+// BENCH_parallel_sweep.json) so runs on different hosts can be compared; on
+// a single-core host the speedups are expected to hover around 1.0x.  A
+// second section times the observability overhead of the default svd()
+// engine (default BENCH_obs_overhead.json).
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -19,15 +20,13 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "api/svd.hpp"
 #include "common/cli.hpp"
+#include "common/pool.hpp"
 #include "obs/guardrail.hpp"
 #include "obs/live.hpp"
 #include "obs/manifest.hpp"
@@ -93,12 +92,6 @@ int main(int argc, char** argv) {
   cli.add_option("batch-rows", "48", "rows of each batch matrix");
   cli.add_option("batch-cols", "32", "cols of each batch matrix");
   cli.add_option("out", "BENCH_parallel_sweep.json", "JSON output path");
-  cli.add_option("pipelined-sizes", "256,512",
-                 "square sizes for the blocked-vs-pipelined comparison");
-  cli.add_option("queue-depth", "8",
-                 "parameter-queue depth of the pipelined engine");
-  cli.add_option("pipelined-out", "BENCH_pipelined_sweep.json",
-                 "JSON output path of the blocked-vs-pipelined comparison");
   // Mid-range sizes on purpose: recording sites fire per round, so events
   // per second — the thing the guardrail bounds — peak at smaller n, but
   // below ~0.1 s/run fixed recorder setup dominates, and multi-second runs
@@ -114,11 +107,7 @@ int main(int argc, char** argv) {
   const auto threads = cli.get_int_list("threads");
   const int reps = static_cast<int>(cli.get_int("reps"));
 
-#ifdef _OPENMP
-  const int hw_threads = omp_get_max_threads();
-#else
-  const int hw_threads = 1;
-#endif
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::cout << "== Parallel sweep engine scaling ==\n"
             << "hardware threads available: " << hw_threads << "\n\n";
 
@@ -158,8 +147,8 @@ int main(int argc, char** argv) {
          << ", \"engines\": [";
     std::vector<std::string> row{std::to_string(n), fmt(t_seq_mod)};
     for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-      ParallelSweepConfig par;
-      par.threads = static_cast<std::size_t>(threads[ti]);
+      WorkStealingPool pool(static_cast<std::size_t>(threads[ti]));
+      const ParallelSweepConfig par{.pool = &pool};
       SvdResult par_mod, par_plain;
       const double t_mod = best_of(
           reps, [&] { par_mod = parallel_modified_hestenes_svd(a, cfg, par); });
@@ -224,108 +213,10 @@ int main(int argc, char** argv) {
   write_file(out_path, json.str());
   std::cout << "JSON written to " << out_path << '\n';
 
-  // --- Blocked vs pipelined modified engine --------------------------------
-  // The pipelined engine overlaps round r+1's parameter generation with
-  // round r's covariance updates (the hardware's param-FIFO trick); the
-  // blocked engine serializes the two phases.  Bit-identity against the
-  // sequential reference is re-checked on every timed repetition — a rep
-  // whose result drifts would invalidate its timing.
-  const auto pipe_sizes = cli.get_int_list("pipelined-sizes");
-  const auto queue_depth = static_cast<std::size_t>(cli.get_int("queue-depth"));
-
-  std::ostringstream pjson;
-  pjson << "{\n  \"bench\": \"pipelined_sweep\",\n"
-        << "  \"manifest\": "
-        << manifest("pipelined-sizes=" + cli.get("pipelined-sizes") +
-                    " threads=" + cli.get("threads") + " reps=" +
-                    cli.get("reps") + " queue-depth=" + cli.get("queue-depth"))
-        << ",\n"
-        << "  \"hardware_threads\": " << hw_threads << ",\n"
-        << "  \"reps\": " << reps << ",\n"
-        << "  \"queue_depth\": " << queue_depth << ",\n  \"sizes\": [\n";
-
-  std::vector<std::string> pheaders{"n", "seq (s)"};
-  for (auto t : threads)
-    pheaders.push_back("t=" + std::to_string(t) + " pipe/blocked");
-  AsciiTable ptab(pheaders);
-  ptab.set_caption(
-      "Pipelined vs blocked modified engine (bit-identical re-checked per "
-      "rep):");
-
-  for (std::size_t si = 0; si < pipe_sizes.size(); ++si) {
-    const auto n = static_cast<std::size_t>(pipe_sizes[si]);
-    Rng rng(5200 + static_cast<std::uint64_t>(n));
-    const Matrix a = random_gaussian(n, n, rng);
-
-    SvdResult seq;
-    const double t_seq =
-        best_of(reps, [&] { seq = modified_hestenes_svd(a, cfg); });
-
-    pjson << "    {\"n\": " << n << ", \"sequential_s\": " << fmt(t_seq)
-          << ", \"engines\": [";
-    std::vector<std::string> row{std::to_string(n), fmt(t_seq)};
-    for (std::size_t ti = 0; ti < threads.size(); ++ti) {
-      const auto t = static_cast<std::size_t>(threads[ti]);
-      ParallelSweepConfig par;
-      par.threads = t;
-      PipelinedSweepConfig pipe;
-      pipe.threads = t;
-      pipe.queue_depth = queue_depth;
-
-      bool ok = true;
-      const double t_blocked = best_of(reps, [&] {
-        const SvdResult r = parallel_modified_hestenes_svd(a, cfg, par);
-        ok = ok && values_bit_identical(r, seq);
-      });
-      PipelineStats qs;
-      const double t_pipe = best_of(reps, [&] {
-        const SvdResult r =
-            pipelined_modified_hestenes_svd(a, cfg, pipe, nullptr, &qs);
-        ok = ok && values_bit_identical(r, seq);
-      });
-      all_identical = all_identical && ok;
-
-      // Busy fractions answer the ROADMAP's generator-bottleneck question:
-      // a generator busy fraction near 1 means parameter generation (the
-      // serial rotation component) is the pipeline's critical path.
-      double worker_busy = 0.0;
-      for (const double b : qs.worker_busy_s) worker_busy += b;
-      const double wall = qs.wall_s > 0.0 ? qs.wall_s : 1.0;
-      const double worker_frac =
-          qs.worker_busy_s.empty()
-              ? 0.0
-              : worker_busy / (static_cast<double>(qs.worker_busy_s.size()) *
-                               wall);
-      pjson << (ti ? ", " : "") << "{\"threads\": " << t
-            << ", \"blocked_s\": " << fmt(t_blocked)
-            << ", \"pipelined_s\": " << fmt(t_pipe)
-            << ", \"pipelined_vs_blocked\": " << fmt(t_blocked / t_pipe)
-            << ", \"pipelined_vs_sequential\": " << fmt(t_seq / t_pipe)
-            << ", \"queue_high_water\": " << qs.queue_high_water
-            << ", \"producer_stalls\": " << qs.producer_stalls
-            << ", \"consumer_stalls\": " << qs.consumer_stalls
-            << ", \"generator_busy_s\": " << fmt(qs.generator_busy_s)
-            << ", \"generator_stall_s\": " << fmt(qs.generator_stall_s)
-            << ", \"generator_busy_frac\": "
-            << fmt(qs.generator_busy_s / wall)
-            << ", \"worker_busy_frac\": " << fmt(worker_frac)
-            << ", \"bit_identical\": " << (ok ? "true" : "false") << "}";
-      row.push_back(format_fixed(t_blocked / t_pipe, 2) + "x" +
-                    (ok ? "" : " MISMATCH"));
-    }
-    pjson << "]}" << (si + 1 < pipe_sizes.size() ? "," : "") << "\n";
-    ptab.add_row(row);
-  }
-  pjson << "  ],\n  \"all_bit_identical\": "
-        << (all_identical ? "true" : "false") << "\n}\n";
-  std::cout << ptab.to_string() << '\n';
-
-  const std::string pipe_out = cli.get("pipelined-out");
-  write_file(pipe_out, pjson.str());
-  std::cout << "JSON written to " << pipe_out << '\n';
-
   // --- Observability overhead guardrail ------------------------------------
-  // Four runs use the instrumented build (the same binary): "disabled"
+  // The default svd() engine (modified Hestenes, values only, run to
+  // convergence) in four modes of the instrumented build (the same
+  // binary): "disabled"
   // detaches the sinks (the shipping default — one null-pointer test per
   // sweep/round), "enabled" attaches a live recorder and registry,
   // "probes" attaches a metrics registry plus the numerical-health probe
@@ -345,8 +236,7 @@ int main(int argc, char** argv) {
   ojson << "{\n  \"bench\": \"obs_overhead\",\n"
         << "  \"manifest\": "
         << manifest("obs-sizes=" + cli.get("obs-sizes") + " obs-reps=" +
-                    cli.get("obs-reps") + " queue-depth=" +
-                    cli.get("queue-depth"))
+                    cli.get("obs-reps") + " engine=svd-default")
         << ",\n"
         << "  \"hardware_threads\": " << hw_threads << ",\n"
         << "  \"reps\": " << obs_reps << ",\n"
@@ -355,7 +245,7 @@ int main(int argc, char** argv) {
   AsciiTable otab({"n", "disabled (s)", "enabled (s)", "enabled overhead",
                    "probes (s)", "probes overhead", "live (s)",
                    "live overhead"});
-  otab.set_caption("Observability overhead (pipelined engine, sinks "
+  otab.set_caption("Observability overhead (default svd() engine, sinks "
                    "detached vs attached vs numerics probes vs full live "
                    "telemetry):");
   bool overhead_ok = true;
@@ -365,8 +255,6 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(obs_sizes[si]);
     Rng rng(6200 + static_cast<std::uint64_t>(n));
     const Matrix a = random_gaussian(n, n, rng);
-    PipelinedSweepConfig pipe;
-    pipe.queue_depth = queue_depth;
 
     // Paired measurement: each repetition times the three modes back to
     // back — independent best-ofs can sample the modes under different
@@ -382,17 +270,17 @@ int main(int argc, char** argv) {
     std::vector<RepTimes> measured;
     for (int r = 0; r < obs_reps; ++r) {
       Timer toff;
-      off_result = pipelined_modified_hestenes_svd(a, cfg, pipe);
+      off_result = svd(a);
       const double off_s = toff.seconds();
       double on_s = 0.0;
       {
         obs::TraceRecorder trace;
         obs::MetricsRegistry metrics;
-        HestenesConfig with = cfg;
-        with.obs.trace = &trace;
-        with.obs.metrics = &metrics;
+        SvdOptions with;
+        with.trace = &trace;
+        with.metrics = &metrics;
         Timer ton;
-        on_result = pipelined_modified_hestenes_svd(a, with, pipe);
+        on_result = svd(a, with);
         on_s = ton.seconds();
       }
       double probes_s = 0.0;
@@ -403,11 +291,11 @@ int main(int argc, char** argv) {
         // (that is where --num-probes pays it).
         obs::MetricsRegistry metrics;
         obs::NumericsProbe probe({}, &metrics);
-        HestenesConfig with = cfg;
-        with.obs.metrics = &metrics;
-        with.obs.numerics = &probe;
+        SvdOptions with;
+        with.metrics = &metrics;
+        with.numerics = &probe;
         Timer tprobes;
-        probes_result = pipelined_modified_hestenes_svd(a, with, pipe);
+        probes_result = svd(a, with);
         probes_s = tprobes.seconds();
       }
       double live_s = 0.0;
@@ -430,12 +318,12 @@ int main(int argc, char** argv) {
         obs::LiveConfig lcfg;
         lcfg.dir = live_scratch.string();
         obs::SnapshotExporter exporter(lcfg, &trace, &metrics, &watchdog);
-        HestenesConfig with = cfg;
-        with.obs.trace = &trace;
-        with.obs.metrics = &metrics;
-        with.obs.watchdog = &watchdog;
+        SvdOptions with;
+        with.trace = &trace;
+        with.metrics = &metrics;
+        with.watchdog = &watchdog;
         Timer tlive;
-        live_result = pipelined_modified_hestenes_svd(a, with, pipe);
+        live_result = svd(a, with);
         live_s = tlive.seconds();
         exporter.stop();
       }

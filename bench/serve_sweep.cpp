@@ -19,11 +19,8 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "api/svd.hpp"
 #include "common/cli.hpp"
@@ -99,11 +96,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps"));
   const auto wave_max = static_cast<std::size_t>(cli.get_int("wave-max"));
 
-#ifdef _OPENMP
-  const int hw_threads = omp_get_max_threads();
-#else
-  const int hw_threads = 1;
-#endif
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::cout << "== hjsvd_serve request throughput ==\n"
             << "hardware threads available: " << hw_threads << "\n\n";
 

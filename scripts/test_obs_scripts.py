@@ -66,8 +66,7 @@ def make_batch_sweep(tmpdir: str, name: str, **overrides) -> str:
         "bench": "batch_sweep",
         "manifest": {
             "tool": "bench_batch_sweep",
-            "config": "count=16 small-n=48 large-n=96 threads=1,2 reps=3 "
-                      "split-threshold=0.25",
+            "config": "count=16 small-n=48 large-n=96 threads=1,2 reps=3",
             "git_sha": "deadbeef",
             "host_threads": 4,
             "schema_versions": {"trace": "hjsvd.trace.v2",
@@ -77,13 +76,11 @@ def make_batch_sweep(tmpdir: str, name: str, **overrides) -> str:
         "count": 17,
         "reps": 3,
         "runs": [
-            {"threads": 1, "split": 0, "seconds": 0.82,
-             "matrices_per_s": 20.7, "steals": 0, "nested_splits": 0,
-             "helpers_granted": 0, "idle_fraction": 0.0,
+            {"threads": 1, "seconds": 0.82,
+             "matrices_per_s": 20.7, "steals": 0, "idle_fraction": 0.0,
              "bit_identical": True},
-            {"threads": 2, "split": 0.25, "seconds": 0.49,
-             "matrices_per_s": 34.7, "steals": 4, "nested_splits": 1,
-             "helpers_granted": 1, "idle_fraction": 0.08,
+            {"threads": 2, "seconds": 0.49,
+             "matrices_per_s": 34.7, "steals": 4, "idle_fraction": 0.08,
              "bit_identical": True},
         ],
         "max_steals_multithread": 4,
@@ -256,11 +253,10 @@ class BenchGateBatchSweep(unittest.TestCase):
         self.assertEqual(self.compare(new), 3)
 
     def test_scheduler_counters_are_not_gated(self):
-        # Steal/split counts are timing-dependent scheduler behaviour, not
+        # Steal counts are timing-dependent scheduler behaviour, not
         # performance: wild swings must not trip the gate.
         new = make_batch_sweep(self.tmp.name, "new.json",
                                **{"runs.1.steals": 40,
-                                  "runs.1.nested_splits": 0,
                                   "runs.1.idle_fraction": 0.9})
         self.assertEqual(self.compare(new), 0)
 
@@ -295,12 +291,10 @@ class ValidateObsReport(unittest.TestCase):
     @staticmethod
     def report(phases):
         return {
-            "schema": "hjsvd.report.v1",
+            "schema": "hjsvd.report.v2",
             "run": {"rows": 64, "cols": 32, "sweeps": 2, "converged": True,
                     "wall_s": 0.5},
             "phases": phases,
-            "cross_checks": {"generator_busy_frac": 0.02,
-                             "generator_is_bottleneck": False},
         }
 
     @staticmethod
@@ -520,13 +514,11 @@ class ValidateObsNumerics(unittest.TestCase):
         }
         numerics.update(num_overrides or {})
         doc = {
-            "schema": "hjsvd.report.v1",
+            "schema": "hjsvd.report.v2",
             "run": {"rows": 64, "cols": 32, "sweeps": 2, "converged": True,
                     "wall_s": 0.5},
             "phases": [{"cat": "svd", "name": "sweep", "total_s": 0.4,
                         "count": 2, "frac_of_wall": 0.8}],
-            "cross_checks": {"generator_busy_frac": 0.02,
-                             "generator_is_bottleneck": False},
         }
         if not drop_numerics:
             doc["numerics"] = numerics

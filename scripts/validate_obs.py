@@ -4,7 +4,7 @@
 Checks a Chrome trace-event JSON (hjsvd.trace.v1, .v2, or .v3), a metrics
 JSON (hjsvd.metrics.v1), a live snapshot stream
 (hjsvd.metrics-snapshots.v1 JSONL), and/or an offline report
-(hjsvd.report.v1) produced by `hjsvd_cli --trace-out/--metrics-out/
+(hjsvd.report.v2) produced by `hjsvd_cli --trace-out/--metrics-out/
 --obs-live`, `hjsvd_report`, the benches, or any library user:
 
   * JSON well-formedness and schema tag.
@@ -18,7 +18,7 @@ JSON (hjsvd.metrics.v1), a live snapshot stream
   * Snapshots: every line is a self-contained hjsvd.metrics-snapshots.v1
     object; seq strictly increasing, elapsed_us non-decreasing, counter
     values non-decreasing per name, dropped_events non-decreasing.
-  * Report: run/phases/cross_checks blocks present with sane types.
+  * Report: run/phases blocks present with sane types.
   * Numerics (--numerics): the svd.num.* namespace emitted by the
     numerical-health probes is internally consistent — angle-histogram
     buckets summing (with non-finite events) to the sample counter,
@@ -50,7 +50,7 @@ TRACE_SCHEMAS = ("hjsvd.trace.v1", "hjsvd.trace.v2", "hjsvd.trace.v3")
 TRACE_SCHEMA_V3 = "hjsvd.trace.v3"
 METRICS_SCHEMA = "hjsvd.metrics.v1"
 SNAPSHOTS_SCHEMA = "hjsvd.metrics-snapshots.v1"
-REPORT_SCHEMA = "hjsvd.report.v1"
+REPORT_SCHEMA = "hjsvd.report.v2"
 METRIC_TYPES = {"counter", "gauge", "histogram", "series"}
 EPS = 1e-6  # double round-off tolerance at span boundaries (microseconds)
 
@@ -307,12 +307,6 @@ def check_report(path: str) -> None:
     totals = [p["total_s"] for p in phases]
     if totals != sorted(totals, reverse=True):
         fail(f"{path}: phases are not sorted by descending total_s")
-    checks = doc.get("cross_checks")
-    if not isinstance(checks, dict):
-        fail(f"{path}: cross_checks missing or not an object")
-    for field in ("generator_busy_frac", "generator_is_bottleneck"):
-        if field not in checks:
-            fail(f"{path}: cross_checks lacks {field!r}")
     print(f"validate_obs: {path}: OK ({len(phases)} phases)")
 
 
@@ -400,7 +394,7 @@ def check_numerics_metrics(path: str) -> None:
 
 
 def check_numerics_report(path: str) -> None:
-    """Validates the "numerics" section of an hjsvd.report.v1 document."""
+    """Validates the "numerics" section of an hjsvd.report.v2 document."""
     doc = load(path)
     num = doc.get("numerics")
     if not isinstance(num, dict):
@@ -512,7 +506,7 @@ def check_serve_metrics(path: str) -> None:
 
 
 def check_serve_report(path: str) -> None:
-    """Validates the "serve" section of an hjsvd.report.v1 document."""
+    """Validates the "serve" section of an hjsvd.report.v2 document."""
     doc = load(path)
     serve = doc.get("serve")
     if not isinstance(serve, dict):

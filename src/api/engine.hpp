@@ -6,7 +6,8 @@
 // zero, which is what an EngineInstance provides:
 //
 //   * a resident WorkStealingPool (common/pool.hpp), spawned once, parked
-//     between batch waves;
+//     between batch waves and lent to the parallel methods' loops in
+//     decompose();
 //   * one Workspace scratch arena (svd/workspace.hpp) per pool worker plus
 //     one for the calling thread, so the Gram/V/finalize buffers of every
 //     engine run are re-shaped in place instead of reallocated.
@@ -34,8 +35,10 @@ namespace hjsvd {
 class WorkStealingPool;
 
 struct EngineConfig {
-  /// Worker-thread budget of batch waves (resident pool size); 0 defers to
-  /// the OpenMP runtime, matching svd_batch's `threads` parameter.
+  /// Worker-thread budget (resident pool size) of batch waves and of the
+  /// parallel methods in decompose(); 0 means
+  /// std::thread::hardware_concurrency() (at least 1), matching
+  /// svd_batch's `threads` parameter.
   std::size_t threads = 0;
 };
 
@@ -46,19 +49,23 @@ class EngineInstance {
   EngineInstance(const EngineInstance&) = delete;
   EngineInstance& operator=(const EngineInstance&) = delete;
 
-  /// Resolved worker-thread budget (config.threads, or the OpenMP default).
+  /// Resolved worker-thread budget (config.threads, or the hardware
+  /// concurrency).
   std::size_t threads() const { return threads_; }
 
   /// Decomposes one matrix on the calling thread using the caller-side
-  /// workspace.  Bitwise identical to svd(a, options).  Not safe to call
-  /// concurrently with itself (one caller-side arena); decompose_batch
-  /// waves use their own per-worker arenas and never touch it.
+  /// workspace.  The parallel methods (kParallelHestenes,
+  /// kParallelModifiedHestenes) fork-join their per-round loops on the
+  /// resident pool when threads() > 1; options.threads is not read.
+  /// Bitwise identical to svd(a, options).  Not safe to call concurrently
+  /// with itself (one caller-side arena); decompose_batch waves use their
+  /// own per-worker arenas and never touch it.
   SvdResult decompose(const Matrix& a, const SvdOptions& options = {});
 
   /// Decomposes every matrix of the batch through the resident pool —
-  /// svd_batch() semantics (validation, LPT seeding, stealing, nested
-  /// splits, batch.* metrics, lowest-index error) with warm threads and
-  /// warm per-worker workspaces.
+  /// svd_batch() semantics (validation, LPT seeding, stealing,
+  /// single-threaded items, batch.* metrics, lowest-index error) with warm
+  /// threads and warm per-worker workspaces.
   ///
   /// Error contract: with `item_errors` null, rethrows the lowest-index
   /// per-item failure exactly like svd_batch().  With `item_errors`
@@ -82,8 +89,8 @@ class EngineInstance {
   std::uint64_t workspace_alloc_total() const;
 
  private:
-  /// Spawns the resident pool on first use (decompose() alone never needs
-  /// threads).
+  /// Spawns the resident pool on first use (decompose() of a sequential
+  /// method never needs threads).
   WorkStealingPool& ensure_pool();
 
   std::size_t threads_ = 1;

@@ -42,15 +42,10 @@ struct AcceleratorRunResult {
   std::uint32_t rotation_latency = 0;
   /// Max parameter-FIFO occupancy observed at any group issue: rotation
   /// groups issued whose covariance updates had not yet drained (in
-  /// groups; the software pipeline's PipelineStats::queue_high_water is
-  /// the analogous measure in single rotations).  Bounded by
-  /// AcceleratorConfig::param_fifo_depth.
+  /// groups).  Bounded by AcceleratorConfig::param_fifo_depth.
   std::size_t param_fifo_high_water = 0;
   /// The same high-water calibrated to single rotations (groups x
-  /// rotation_group_size) — directly comparable against the software
-  /// pipeline's PipelineStats::queue_high_water, which counts rotations
-  /// (tests/arch/test_fifo_calibration.cpp asserts this bound dominates a
-  /// software queue of the calibrated capacity).
+  /// rotation_group_size; tests/arch/test_fifo_calibration.cpp).
   std::size_t param_fifo_high_water_rotations = 0;
 
   // Component occupancy: cycles each unit spent doing work, and its

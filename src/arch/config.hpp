@@ -74,7 +74,7 @@ struct AcceleratorConfig {
   /// time (cycles / clock_hz), so a hardware timeline loads side by side
   /// with the software engines' wall-clock timelines; metrics land in the
   /// sim.* namespace with explicit units ("rotation_groups" vs "rotations")
-  /// next to the software pipeline.* metrics.  Null sinks record nothing.
+  /// next to the software svd.* metrics.  Null sinks record nothing.
   obs::ObsContext obs{};
 
   /// Total update-kernel count active from sweep 2 on.

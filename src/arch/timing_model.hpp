@@ -41,11 +41,8 @@ struct TimingBreakdown {
   /// param_fifo_high_water.
   std::size_t param_fifo_occupancy = 0;
   /// The same steady-state occupancy in single rotations (groups x
-  /// rotation_group_size) — the unit of the software pipeline's
-  /// PipelineStats::queue_high_water, so the hardware bound and the
-  /// software queue's measured high-water compare directly (the FIFO
-  /// calibration of docs/OBSERVABILITY.md; tests/arch/test_fifo_calibration
-  /// asserts the bound dominates).
+  /// rotation_group_size; the FIFO calibration of docs/OBSERVABILITY.md,
+  /// pinned by tests/arch/test_fifo_calibration).
   std::size_t param_fifo_occupancy_rotations = 0;
 };
 

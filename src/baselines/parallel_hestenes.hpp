@@ -15,7 +15,8 @@
 
 namespace hjsvd {
 
-/// OpenMP bulk-synchronous plain Hestenes-Jacobi.  Uses round-robin rounds
+/// Bulk-synchronous plain Hestenes-Jacobi on a pool of one thread per
+/// hardware thread.  Uses round-robin rounds
 /// regardless of cfg.ordering; other HestenesConfig fields are honored.
 SvdResult parallel_hestenes_svd(const Matrix& a,
                                 const HestenesConfig& cfg = {},

@@ -1,5 +1,6 @@
 #include "common/pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -39,16 +40,36 @@ struct WaveState {
   std::vector<WorkerDeque>* deques = nullptr;
   PoolStats* stats = nullptr;
   std::vector<std::exception_ptr>* errors = nullptr;
-  std::vector<std::uint64_t>* nested = nullptr;
-  std::vector<std::uint64_t>* granted = nullptr;
   /// Unacquired tasks; drives the occupancy samples and their global order.
   std::atomic<std::size_t> queued{0};
-  /// Helper reservations currently outstanding against `width`.
-  std::atomic<std::size_t> borrowed{0};
   std::size_t participants = 0;
-  std::size_t width = 0;
   std::size_t n_tasks = 0;
 };
+
+/// Set on every resident pool thread, and on a fork-join caller while it
+/// runs chunks: a fork-join issued there runs inline.
+thread_local bool tls_in_pool = false;
+
+/// How long a parked resident, or a caller waiting for a job to drain,
+/// polls before it blocks on a condition variable: long enough to span the
+/// serial phase between two fork-joins of a sweep, so back-to-back rounds
+/// skip the sleep/wake round trip, and short enough that an idle pool
+/// costs nothing measurable.
+constexpr auto kSpinWindow = std::chrono::microseconds(50);
+
+/// Polls pred() for up to kSpinWindow; returns whether it came true.
+template <class Pred>
+bool spin_until(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (unsigned i = 1;; ++i) {
+    if (pred()) return true;
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline)
+      return false;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+}
 
 /// The work-stealing loop of one participating worker: drain the own deque
 /// front-first, then steal back-first from the richest victim until every
@@ -59,7 +80,6 @@ void wave_worker(WaveState& wv, std::size_t self) {
   const WorkStealingOptions& options = *wv.options;
   PoolStats& stats = *wv.stats;
   const std::size_t workers = wv.participants;
-  const std::size_t width = wv.width;
 
   if (options.worker_start) options.worker_start(self);
 
@@ -131,29 +151,6 @@ void wave_worker(WaveState& wv, std::size_t self) {
     info.queued = before - 1;
     stats.occupancy[wv.n_tasks - before] = info.queued;
 
-    // Borrow helpers for a qualifying task: reserve against the total
-    // width so one big task can expand to the pool's full budget.  The
-    // reservation is advisory (see pool.hpp) — it bounds deliberate
-    // oversubscription and never influences results.
-    std::size_t cap =
-        task < options.max_helpers.size() ? options.max_helpers[task] : 0;
-    if (cap > width - 1) cap = width - 1;
-    std::size_t got = 0;
-    if (cap > 0) {
-      std::size_t cur = wv.borrowed.load(std::memory_order_relaxed);
-      do {
-        const std::size_t avail = width - 1 > cur ? width - 1 - cur : 0;
-        got = cap < avail ? cap : avail;
-      } while (got > 0 &&
-               !wv.borrowed.compare_exchange_weak(cur, cur + got,
-                                                  std::memory_order_acq_rel));
-    }
-    info.helpers = got;
-    if (got > 0) {
-      ++(*wv.nested)[self];
-      (*wv.granted)[self] += got;
-    }
-
     const auto task_t0 = std::chrono::steady_clock::now();
     try {
       (*wv.fn)(info);
@@ -161,7 +158,6 @@ void wave_worker(WaveState& wv, std::size_t self) {
       (*wv.errors)[task] = std::current_exception();
     }
     busy += seconds_since(task_t0);
-    if (got > 0) wv.borrowed.fetch_sub(got, std::memory_order_acq_rel);
     ++stats.executed[self];
     if (stolen) ++stats.stolen[self];
   }
@@ -170,51 +166,107 @@ void wave_worker(WaveState& wv, std::size_t self) {
 
 }  // namespace
 
-/// Resident-thread state.  Threads park on `cv` between waves and watch
-/// `generation`; run() installs a wave, bumps the generation, and waits on
-/// `done_cv` until every participant has acknowledged.  Because run()
-/// blocks until the acknowledgement count drains, the WaveState (stack of
-/// run()) outlives every participant's use of it; non-participating
-/// threads never dereference `wave` at all.
+/// Resident-thread state.  Worker 0 of every job is the calling thread;
+/// resident thread r is worker r + 1.  launch() publishes a job as one
+/// atomic ticket, (generation << kCountBits) | worker count, and finish()
+/// waits until every resident participant has counted itself out.  A
+/// resident that just ran a job polls the ticket for a while before it
+/// parks on `cv`, so the fork-joins of consecutive sweep rounds hand over
+/// without a sleep/wake round trip.  Only participants read `job`: it is
+/// written before the ticket that names them and rewritten only by the
+/// next launch(), which waits for all of them; so the job (and the state
+/// it captures on the launching call's stack) outlives every use of it.
 struct WorkStealingPool::Impl {
-  std::mutex mu;
+  static constexpr unsigned kCountBits = 16;
+  static constexpr std::uint64_t kCountMask = (1u << kCountBits) - 1;
+
+  std::mutex mu;  ///< Guards `shutdown` and the sleeps on both cvs.
   std::condition_variable cv;
   std::condition_variable done_cv;
-  std::uint64_t generation = 0;
-  std::size_t participants = 0;   ///< Of the current wave.
-  std::size_t done_pending = 0;   ///< Participants yet to finish the wave.
-  WaveState* wave = nullptr;
+  std::atomic<std::uint64_t> ticket{0};
+  /// Resident participants yet to finish the job; the last one notifies
+  /// `done_cv`.
+  std::atomic<std::size_t> done_pending{0};
+  const std::function<void(std::size_t)>* job = nullptr;
   bool shutdown = false;
-  /// Serializes run() callers; resident threads never take it.
+  /// Serializes run() and fork_join() callers; resident threads never take
+  /// it.
   std::mutex run_mu;
   std::vector<std::thread> threads;
 
   void resident_main(std::size_t self) {
-    std::uint64_t seen = 0;
+    tls_in_pool = true;
+    std::uint64_t seen = 0;  // generation of the last ticket read
+    // Only a thread that just ran a job polls for the next one: a thread
+    // left out of a narrower job would only burn a core the job needs.
+    bool poll = false;
+    const auto fresh = [&] {
+      return (ticket.load(std::memory_order_acquire) >> kCountBits) != seen;
+    };
     for (;;) {
-      WaveState* wv = nullptr;
-      {
+      if (!(poll && spin_until(fresh))) {
         std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return shutdown || generation != seen; });
+        cv.wait(lock, [&] { return shutdown || fresh(); });
         if (shutdown) return;
-        seen = generation;
-        if (self < participants) wv = wave;
       }
-      if (wv == nullptr) continue;  // not a participant of this wave
-      wave_worker(*wv, self);
-      {
+      const std::uint64_t t = ticket.load(std::memory_order_acquire);
+      seen = t >> kCountBits;
+      poll = self < (t & kCountMask);
+      if (!poll) continue;  // not a participant of this job
+      (*job)(self);
+      if (done_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(mu);
-        if (--done_pending == 0) done_cv.notify_all();
+        done_cv.notify_all();
       }
     }
+  }
+
+  /// Starts `fn` on workers [1, count).  Caller holds run_mu.
+  void launch(std::size_t count, const std::function<void(std::size_t)>& fn) {
+    job = &fn;
+    done_pending.store(count - 1, std::memory_order_relaxed);
+    const std::uint64_t generation = (ticket.load() >> kCountBits) + 1;
+    std::lock_guard<std::mutex> lock(mu);
+    ticket.store((generation << kCountBits) | count,
+                 std::memory_order_release);
+    cv.notify_all();
+  }
+
+  /// Waits until every resident participant of the launched job has
+  /// finished.
+  void finish() {
+    const auto drained = [&] {
+      return done_pending.load(std::memory_order_acquire) == 0;
+    };
+    if (spin_until(drained)) return;
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, drained);
+  }
+
+  /// Runs `fn(w)` for every worker w in [0, count), worker 0 on the calling
+  /// thread, and returns once all of them have.  Caller holds run_mu.
+  void run_job(std::size_t count, const std::function<void(std::size_t)>& fn) {
+    if (count > 1) launch(count, fn);
+    const bool outer = tls_in_pool;
+    tls_in_pool = true;
+    std::exception_ptr error;
+    try {
+      fn(0);
+    } catch (...) {
+      error = std::current_exception();  // rethrown once the residents are out
+    }
+    tls_in_pool = outer;
+    if (count > 1) finish();
+    if (error) std::rethrow_exception(error);
   }
 };
 
 WorkStealingPool::WorkStealingPool(std::size_t workers)
     : impl_(std::make_unique<Impl>()), workers_(workers) {
   HJSVD_ENSURE(workers >= 1, "pool needs at least one worker");
-  impl_->threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
+  HJSVD_ENSURE(workers <= Impl::kCountMask, "pool has too many workers");
+  impl_->threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w)
     impl_->threads.emplace_back([this, w] { impl_->resident_main(w); });
 }
 
@@ -259,8 +311,6 @@ PoolStats WorkStealingPool::run(
   std::lock_guard<std::mutex> run_lock(impl_->run_mu);
 
   const std::size_t workers = options.workers;
-  const std::size_t width =
-      options.total_width == 0 ? workers : options.total_width;
 
   std::vector<WorkerDeque> deques(workers);
   for (std::size_t w = 0; w < bins.size(); ++w) {
@@ -284,8 +334,6 @@ PoolStats WorkStealingPool::run(
   // Per-task exception slots: each is written by exactly one worker (the
   // one that ran the task), read below after the wave drains.
   std::vector<std::exception_ptr> errors(n_tasks);
-  std::vector<std::uint64_t> nested(workers, 0);
-  std::vector<std::uint64_t> granted(workers, 0);
 
   WaveState wv;
   wv.costs = &costs;
@@ -294,31 +342,19 @@ PoolStats WorkStealingPool::run(
   wv.deques = &deques;
   wv.stats = &stats;
   wv.errors = &errors;
-  wv.nested = &nested;
-  wv.granted = &granted;
   wv.queued.store(n_tasks, std::memory_order_relaxed);
   wv.participants = workers;
-  wv.width = width;
   wv.n_tasks = n_tasks;
 
+  const std::function<void(std::size_t)> job = [&wv](std::size_t self) {
+    wave_worker(wv, self);
+  };
   const auto wave_t0 = std::chrono::steady_clock::now();
-  {
-    std::unique_lock<std::mutex> lock(impl_->mu);
-    impl_->wave = &wv;
-    impl_->participants = workers;
-    impl_->done_pending = workers;
-    ++impl_->generation;
-    impl_->cv.notify_all();
-    impl_->done_cv.wait(lock, [&] { return impl_->done_pending == 0; });
-    impl_->wave = nullptr;
-    impl_->participants = 0;
-  }
+  impl_->run_job(workers, job);
   stats.wall_s = seconds_since(wave_t0);
 
   for (std::size_t w = 0; w < workers; ++w) {
     stats.steals += stats.stolen[w];
-    stats.nested_runs += nested[w];
-    stats.helpers_granted += granted[w];
     const double idle = stats.wall_s - stats.busy_s[w];
     stats.idle_s[w] = idle > 0.0 ? idle : 0.0;
   }
@@ -329,6 +365,40 @@ PoolStats WorkStealingPool::run(
     if (errors[t]) std::rethrow_exception(errors[t]);
 
   return stats;
+}
+
+void WorkStealingPool::LowestError::record(std::size_t i,
+                                           std::exception_ptr e) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (!error || i < index) {
+    index = i;
+    error = std::move(e);
+  }
+}
+
+void WorkStealingPool::run_chunks(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& chunk) {
+  if (count == 0) return;
+  const std::size_t width = std::min(workers_, count);
+  if (width < 2 || tls_in_pool) {
+    chunk(0, count);
+    return;
+  }
+  // One contiguous, fixed range per worker, as OpenMP's static schedule:
+  // consecutive rounds of a sweep give a worker overlapping data, which
+  // stays in its cache, and no counter is contended.
+  const std::function<void(std::size_t)> job = [&](std::size_t w) {
+    chunk(w * count / width, (w + 1) * count / width);
+  };
+
+  std::lock_guard<std::mutex> run_lock(impl_->run_mu);
+  impl_->run_job(width, job);
+}
+
+std::size_t default_thread_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 PoolStats run_work_stealing(

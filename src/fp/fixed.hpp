@@ -68,11 +68,4 @@ class FixedOps {
   FixedStats* stats_;
 };
 
-template <class Ops>
-struct OpsTraits;
-template <>
-struct OpsTraits<FixedOps> {
-  static constexpr bool parallel_safe = false;  // shared stats counters
-};
-
 }  // namespace hjsvd::fp

@@ -72,16 +72,4 @@ class CountingOps {
   OpCounts* counts_;
 };
 
-/// Whether kernels may invoke the policy concurrently from OpenMP threads.
-/// CountingOps mutates shared counters and is therefore serial-only.
-template <class Ops>
-struct OpsTraits {
-  static constexpr bool parallel_safe = true;
-};
-
-template <>
-struct OpsTraits<CountingOps> {
-  static constexpr bool parallel_safe = false;
-};
-
 }  // namespace hjsvd::fp

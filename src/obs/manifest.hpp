@@ -17,7 +17,7 @@ namespace hjsvd::obs {
 /// Schema tag of the offline run report (src/report/ consumes traces and
 /// metrics and emits this document; declared here so the manifest's
 /// schema_versions block has one source of truth for all three documents).
-inline constexpr const char* kReportSchema = "hjsvd.report.v1";
+inline constexpr const char* kReportSchema = "hjsvd.report.v2";
 
 /// Caller-supplied part of a manifest; the serialized form adds the build's
 /// git sha, the host thread count, and the schema versions automatically.
@@ -38,7 +38,7 @@ int host_hardware_threads();
 ///   {"tool": "...", "config": "...", "git_sha": "...", "host_threads": 1,
 ///    "schema_versions": {"trace": "hjsvd.trace.v2",
 ///                        "metrics": "hjsvd.metrics.v1",
-///                        "report": "hjsvd.report.v1"}}
+///                        "report": "hjsvd.report.v2"}}
 std::string manifest_json(const RunManifest& manifest);
 
 }  // namespace hjsvd::obs

@@ -3,10 +3,9 @@
 //
 // One registry instance collects everything a run produced — software
 // engines and the accelerator simulator write into the same namespace, so
-// e.g. the software param-queue high-water (`pipeline.param_queue.high_water`,
-// unit "rotations") and the simulator's FIFO bound
-// (`sim.param_fifo.high_water_rotations`, unit "rotations") are directly
-// comparable in one file.  docs/OBSERVABILITY.md lists every metric name,
+// e.g. the software engine's svd.rotations_applied and the simulator's
+// FIFO bound (`sim.param_fifo.high_water_rotations`, unit "rotations") sit
+// side by side in one file.  docs/OBSERVABILITY.md lists every metric name,
 // its type, its unit, and whether its value is deterministic across thread
 // counts.
 //

@@ -24,7 +24,7 @@
 //     "traceEvents": [ {"ph":"M",...thread/process names...},
 //                      {"ph":"X","name":"sweep","cat":"svd","pid":1,
 //                       "tid":2,"ts":12.5,"dur":801.2,"args":{...}},
-//                      {"ph":"C","name":"pipeline.queue.occupancy","pid":1,
+//                      {"ph":"C","name":"sim.param_fifo.occupancy","pid":2,
 //                       "tid":0,"ts":13.0,"args":{"value":5}}, ... ] }
 //
 // Schema history:

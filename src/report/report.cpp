@@ -163,31 +163,6 @@ void aggregate_phases(const JsonValue& trace_doc, RunReport* report) {
             });
 }
 
-void fill_pipeline(const MetricsView& metrics, RunReport* report) {
-  if (!metrics.has("pipeline.wall_s")) return;
-  report->has_pipeline = true;
-  ThreadStat gen;
-  gen.name = "generator";
-  gen.busy_s = metrics.value_or("pipeline.generator.busy_s", 0.0);
-  gen.stall_s = metrics.value_or("pipeline.generator.stall_s", 0.0);
-  report->threads.push_back(gen);
-  for (std::size_t w = 0;; ++w) {
-    const std::string prefix = "pipeline.worker." + std::to_string(w) + ".";
-    if (!metrics.has(prefix + "busy_s")) break;
-    ThreadStat t;
-    t.name = "worker." + std::to_string(w);
-    t.busy_s = metrics.value_or(prefix + "busy_s", 0.0);
-    t.stall_s = metrics.value_or(prefix + "stall_s", 0.0);
-    report->threads.push_back(std::move(t));
-  }
-  for (ThreadStat& t : report->threads)
-    if (report->wall_s > 0.0) t.busy_frac_of_wall = t.busy_s / report->wall_s;
-  report->queue_capacity = metrics.value_or("pipeline.queue.capacity", 0.0);
-  report->queue_high_water = metrics.value_or("pipeline.queue.high_water", 0.0);
-  report->queue_occupancy =
-      series_stats(metrics.series_values("pipeline.queue.occupancy"));
-}
-
 void fill_sim(const MetricsView& metrics, RunReport* report) {
   if (!metrics.has("sim.param_fifo.depth")) return;
   report->has_sim = true;
@@ -214,8 +189,6 @@ void fill_batch(const MetricsView& metrics, RunReport* report) {
   report->batch_workers = u64("batch.workers");
   report->batch_workers_requested = u64("batch.workers.requested");
   report->batch_steals = u64("batch.steals");
-  report->batch_nested_splits = u64("batch.nested.splits");
-  report->batch_nested_helpers = u64("batch.nested.helpers");
   report->batch_wall_s = metrics.value_or("batch.wall_s", 0.0);
   double idle_sum = 0.0;
   for (std::size_t w = 0;; ++w) {
@@ -391,34 +364,6 @@ void fill_convergence(const MetricsView& metrics, RunReport* report) {
   }
 }
 
-void fill_cross_checks(RunReport* report) {
-  if (report->has_pipeline && report->wall_s > 0.0 &&
-      !report->threads.empty()) {
-    report->generator_busy_frac = report->threads.front().busy_frac_of_wall;
-    double worker_sum = 0.0;
-    std::size_t workers = 0;
-    double max_worker_frac = 0.0;
-    for (std::size_t i = 1; i < report->threads.size(); ++i) {
-      worker_sum += report->threads[i].busy_frac_of_wall;
-      max_worker_frac =
-          std::max(max_worker_frac, report->threads[i].busy_frac_of_wall);
-      ++workers;
-    }
-    if (workers > 0)
-      report->mean_worker_busy_frac =
-          worker_sum / static_cast<double>(workers);
-    report->generator_is_bottleneck =
-        report->generator_busy_frac > max_worker_frac;
-  }
-  if (report->has_pipeline && report->has_sim &&
-      report->sim_fifo_high_water_rotations > 0.0) {
-    report->queue_vs_sim_bound_ratio =
-        report->queue_high_water / report->sim_fifo_high_water_rotations;
-    report->software_queue_within_sim_bound =
-        report->queue_high_water <= report->sim_fifo_high_water_rotations;
-  }
-}
-
 void append_series_stats(std::ostringstream& os, const SeriesStats& s) {
   os << "{\"samples\": " << s.samples << ", \"mean\": " << json_number(s.mean)
      << ", \"p95\": " << json_number(s.p95)
@@ -462,9 +407,7 @@ RunReport analyze_run(const JsonValue& trace_doc,
       static_cast<std::uint64_t>(metrics.value_or("svd.rotations_applied", 0.0));
   report.rotations_skipped =
       static_cast<std::uint64_t>(metrics.value_or("svd.rotations_skipped", 0.0));
-  report.wall_s = metrics.value_or("pipeline.wall_s", 0.0);
   aggregate_phases(trace_doc, &report);
-  fill_pipeline(metrics, &report);
   fill_sim(metrics, &report);
   fill_batch(metrics, &report);
   fill_mixed(metrics, &report);
@@ -472,7 +415,6 @@ RunReport analyze_run(const JsonValue& trace_doc,
   fill_numerics(metrics, &report);
   fill_serve(metrics, &report);
   fill_convergence(metrics, &report);
-  fill_cross_checks(&report);
   return report;
 }
 
@@ -495,24 +437,6 @@ std::string report_json(const RunReport& r) {
        << ", \"frac_of_wall\": " << json_number(p.frac_of_wall) << '}';
   }
   os << "\n],\n";
-  if (r.has_pipeline) {
-    os << "\"pipeline\": {\"threads\": [";
-    for (std::size_t i = 0; i < r.threads.size(); ++i) {
-      const ThreadStat& t = r.threads[i];
-      os << (i == 0 ? "\n" : ",\n") << "  {\"name\": " << quoted(t.name)
-         << ", \"busy_s\": " << json_number(t.busy_s)
-         << ", \"stall_s\": " << json_number(t.stall_s)
-         << ", \"busy_frac_of_wall\": " << json_number(t.busy_frac_of_wall)
-         << '}';
-    }
-    os << "\n], \"queue_capacity\": " << json_number(r.queue_capacity)
-       << ", \"queue_high_water\": " << json_number(r.queue_high_water)
-       << ", \"queue_occupancy\": ";
-    append_series_stats(os, r.queue_occupancy);
-    os << "},\n";
-  } else {
-    os << "\"pipeline\": null,\n";
-  }
   if (r.has_sim) {
     os << "\"sim\": {\"param_fifo_depth_groups\": "
        << json_number(r.sim_fifo_depth_groups)
@@ -536,8 +460,6 @@ std::string report_json(const RunReport& r) {
        << ", \"workers\": " << r.batch_workers
        << ", \"workers_requested\": " << r.batch_workers_requested
        << ", \"steals\": " << r.batch_steals
-       << ", \"nested_splits\": " << r.batch_nested_splits
-       << ", \"nested_helpers\": " << r.batch_nested_helpers
        << ", \"wall_s\": " << json_number(r.batch_wall_s)
        << ", \"idle_frac\": " << json_number(r.batch_idle_frac)
        << ", \"worker_threads\": [";
@@ -638,17 +560,7 @@ std::string report_json(const RunReport& r) {
        << ", \"rotations\": " << p.rotations << ", \"skipped\": " << p.skipped
        << '}';
   }
-  os << "\n],\n";
-  os << "\"cross_checks\": {\"generator_busy_frac\": "
-     << json_number(r.generator_busy_frac)
-     << ", \"mean_worker_busy_frac\": "
-     << json_number(r.mean_worker_busy_frac)
-     << ", \"generator_is_bottleneck\": "
-     << json_bool(r.generator_is_bottleneck)
-     << ", \"queue_vs_sim_bound_ratio\": "
-     << json_number(r.queue_vs_sim_bound_ratio)
-     << ", \"software_queue_within_sim_bound\": "
-     << json_bool(r.software_queue_within_sim_bound) << "}\n}\n";
+  os << "\n]\n}\n";
   return os.str();
 }
 
@@ -669,21 +581,6 @@ std::string report_table(const RunReport& r) {
     os << phases.to_string() << '\n';
   }
 
-  if (r.has_pipeline) {
-    AsciiTable threads({"thread", "busy", "stall", "busy % of wall"});
-    threads.set_caption("Pipelined-engine threads");
-    for (const ThreadStat& t : r.threads)
-      threads.add_row({t.name, format_duration(t.busy_s),
-                       format_duration(t.stall_s),
-                       pct(t.busy_frac_of_wall)});
-    os << threads.to_string() << '\n';
-    os << "queue: capacity " << format_fixed(r.queue_capacity, 0)
-       << " rotations, high-water " << format_fixed(r.queue_high_water, 0)
-       << ", occupancy mean " << format_fixed(r.queue_occupancy.mean, 2)
-       << " / p95 " << format_fixed(r.queue_occupancy.p95, 2) << " / max "
-       << format_fixed(r.queue_occupancy.max, 0) << " over "
-       << r.queue_occupancy.samples << " samples\n\n";
-  }
 
   if (r.has_sim) {
     os << "sim: param-FIFO depth " << format_fixed(r.sim_fifo_depth_groups, 0)
@@ -700,9 +597,7 @@ std::string report_table(const RunReport& r) {
     os << "batch: " << r.batch_items << " matrices (" << r.batch_items_ok
        << " ok / " << r.batch_items_failed << " failed) on "
        << r.batch_workers << " workers (" << r.batch_workers_requested
-       << " requested), " << r.batch_steals << " steals, "
-       << r.batch_nested_splits << " nested splits (+"
-       << r.batch_nested_helpers << " helper threads), wall "
+       << " requested), " << r.batch_steals << " steals, wall "
        << format_duration(r.batch_wall_s) << ", pool idle "
        << pct(r.batch_idle_frac) << "\n";
     if (!r.batch_worker_stats.empty()) {
@@ -813,24 +708,14 @@ std::string report_table(const RunReport& r) {
     os << conv.to_string() << '\n';
   }
 
-  os << "cross-checks: generator busy " << pct(r.generator_busy_frac)
-     << " of wall vs mean worker busy " << pct(r.mean_worker_busy_frac)
-     << " -> generator "
-     << (r.generator_is_bottleneck ? "IS" : "is NOT") << " the bottleneck";
-  if (r.queue_vs_sim_bound_ratio > 0.0) {
-    os << "; software queue high-water is "
-       << format_fixed(r.queue_vs_sim_bound_ratio * 100.0, 1)
-       << "% of the sim's calibrated FIFO bound ("
-       << (r.software_queue_within_sim_bound ? "within" : "EXCEEDS")
-       << " bound)";
-  }
-  os << '\n';
   return os.str();
 }
 
 RunReport report_from_json(const JsonValue& doc) {
+  // v1 differs from v2 only by the pipeline and cross_checks members,
+  // which are not read here.
   const std::string schema = doc.string_or("schema");
-  if (schema != obs::kReportSchema)
+  if (schema != obs::kReportSchema && schema != "hjsvd.report.v1")
     throw SchemaError("report document has schema '" + schema +
                       "', expected '" + obs::kReportSchema + "'");
   RunReport r;
@@ -857,25 +742,6 @@ RunReport report_from_json(const JsonValue& doc) {
       r.phases.push_back(std::move(stat));
     }
   }
-  if (const JsonValue* pipeline = doc.find("pipeline");
-      pipeline != nullptr && pipeline->is_object()) {
-    r.has_pipeline = true;
-    if (const JsonValue* threads = pipeline->find("threads");
-        threads != nullptr && threads->is_array()) {
-      for (const JsonValue& t : threads->as_array()) {
-        ThreadStat stat;
-        stat.name = t.string_or("name");
-        stat.busy_s = t.number_or("busy_s", 0.0);
-        stat.stall_s = t.number_or("stall_s", 0.0);
-        stat.busy_frac_of_wall = t.number_or("busy_frac_of_wall", 0.0);
-        r.threads.push_back(std::move(stat));
-      }
-    }
-    r.queue_capacity = pipeline->number_or("queue_capacity", 0.0);
-    r.queue_high_water = pipeline->number_or("queue_high_water", 0.0);
-    if (const JsonValue* occ = pipeline->find("queue_occupancy"))
-      r.queue_occupancy = series_stats_from_json(*occ);
-  }
   if (const JsonValue* sim = doc.find("sim");
       sim != nullptr && sim->is_object()) {
     r.has_sim = true;
@@ -900,8 +766,6 @@ RunReport report_from_json(const JsonValue& doc) {
     r.batch_workers = u64("workers");
     r.batch_workers_requested = u64("workers_requested");
     r.batch_steals = u64("steals");
-    r.batch_nested_splits = u64("nested_splits");
-    r.batch_nested_helpers = u64("nested_helpers");
     r.batch_wall_s = batch->number_or("wall_s", 0.0);
     r.batch_idle_frac = batch->number_or("idle_frac", 0.0);
     if (const JsonValue* workers = batch->find("worker_threads");
@@ -1030,31 +894,8 @@ RunReport report_from_json(const JsonValue& doc) {
       r.convergence.push_back(point);
     }
   }
-  if (const JsonValue* checks = doc.find("cross_checks");
-      checks != nullptr && checks->is_object()) {
-    r.generator_busy_frac = checks->number_or("generator_busy_frac", 0.0);
-    r.mean_worker_busy_frac =
-        checks->number_or("mean_worker_busy_frac", 0.0);
-    const JsonValue* bottleneck = checks->find("generator_is_bottleneck");
-    r.generator_is_bottleneck =
-        bottleneck != nullptr && bottleneck->as_bool();
-    r.queue_vs_sim_bound_ratio =
-        checks->number_or("queue_vs_sim_bound_ratio", 0.0);
-    const JsonValue* within = checks->find("software_queue_within_sim_bound");
-    r.software_queue_within_sim_bound = within != nullptr && within->as_bool();
-  }
   return r;
 }
-
-namespace {
-
-double total_stall_s(const RunReport& r) {
-  double sum = 0.0;
-  for (const ThreadStat& t : r.threads) sum += t.stall_s;
-  return sum;
-}
-
-}  // namespace
 
 CompareResult compare_reports(const RunReport& baseline,
                               const RunReport& candidate,
@@ -1105,25 +946,6 @@ CompareResult compare_reports(const RunReport& baseline,
               " (limit +" +
               format_fixed(thresholds.max_rotation_increase_frac * 100.0, 1) +
               "%)");
-  }
-
-  if (baseline.has_pipeline && candidate.has_pipeline) {
-    const double base_stall = total_stall_s(baseline);
-    const double cand_stall = total_stall_s(candidate);
-    if (base_stall > 0.0) {
-      const double limit =
-          base_stall * (1.0 + thresholds.max_stall_increase_frac);
-      check(cand_stall > limit,
-            "pipeline total stall " + format_sci(base_stall) + "s -> " +
-                format_sci(cand_stall) + "s (limit +" +
-                format_fixed(thresholds.max_stall_increase_frac * 100.0, 1) +
-                "%)");
-    }
-    check(!baseline.generator_is_bottleneck &&
-              candidate.generator_is_bottleneck,
-          std::string("generator_is_bottleneck ") +
-              (baseline.generator_is_bottleneck ? "true" : "false") + " -> " +
-              (candidate.generator_is_bottleneck ? "true" : "false"));
   }
 
   // Accuracy leaves (numerics section): higher is worse, gated exactly as

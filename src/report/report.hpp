@@ -1,12 +1,11 @@
-// Offline run-report analyzer (`hjsvd.report.v1`).
+// Offline run-report analyzer (`hjsvd.report.v2`).
 //
 // Ingests the observability artifacts a run recorded — an
 // hjsvd.trace.v1/v2/v3 trace and an hjsvd.metrics.v1 metrics document — and
 // distills them into a typed RunReport: per-phase wall-clock breakdown,
-// per-thread busy/stall fractions of the pipelined engine, queue /
-// parameter-FIFO occupancy statistics, the convergence trajectory,
-// live-telemetry verdicts (flight-recorder drops, watchdog flags), and
-// software-vs-simulator cross-checks.  The report serializes deterministically (fixed field
+// parameter-FIFO and batch-queue occupancy statistics, the convergence
+// trajectory, and live-telemetry verdicts (flight-recorder drops, watchdog
+// flags).  The report serializes deterministically (fixed field
 // order, round-trip doubles) so golden-file tests can diff it byte-for-byte,
 // and two serialized reports can be compared for performance regressions
 // (`compare_reports`, driving hjsvd_report --compare's exit code 3).
@@ -43,15 +42,6 @@ struct PhaseStat {
   double frac_of_wall = 0.0;
 };
 
-/// Busy/stall split of one engine thread (pipelined engine only — the
-/// sequential engines have no stall concept).
-struct ThreadStat {
-  std::string name;  // "generator", "worker.0", ...
-  double busy_s = 0.0;
-  double stall_s = 0.0;
-  double busy_frac_of_wall = 0.0;
-};
-
 /// Busy/idle split of one svd_batch pool worker (work-stealing batch
 /// scheduler only).
 struct BatchWorkerStat {
@@ -78,8 +68,8 @@ struct ConvergencePoint {
   std::uint64_t skipped = 0;
 };
 
-/// The analyzed run.  `has_*` flags mark optional sections: sequential runs
-/// have no pipeline threads, software-only runs have no sim section.
+/// The analyzed run.  `has_*` flags mark optional sections: software-only
+/// runs have no sim section, single runs no batch section, and so on.
 struct RunReport {
   // Run summary (svd.* metrics).
   std::uint64_t rows = 0;
@@ -88,16 +78,9 @@ struct RunReport {
   bool converged = false;
   std::uint64_t rotations_applied = 0;
   std::uint64_t rotations_skipped = 0;
-  double wall_s = 0.0;  // pipeline.wall_s gauge, else software span extent
+  double wall_s = 0.0;  // extent of the software spans
 
   std::vector<PhaseStat> phases;  // sorted by descending total_s
-
-  // Pipelined-engine sections.
-  bool has_pipeline = false;
-  std::vector<ThreadStat> threads;  // generator first, then workers by index
-  double queue_capacity = 0.0;      // rotations
-  double queue_high_water = 0.0;    // rotations
-  SeriesStats queue_occupancy;      // pipeline.queue.occupancy series
 
   // Accelerator-simulator section.
   bool has_sim = false;
@@ -108,8 +91,8 @@ struct RunReport {
   double sim_update_utilization = 0.0;
 
   // Batch-scheduler section (svd_batch's work-stealing pool; batch.*
-  // metrics).  Unlike pipeline/sim this member is omitted from the JSON
-  // entirely when absent, so pre-batch reports re-serialize byte-for-byte.
+  // metrics).  Unlike sim this member is omitted from the JSON entirely
+  // when absent, so pre-batch reports re-serialize byte-for-byte.
   bool has_batch = false;
   std::uint64_t batch_items = 0;
   std::uint64_t batch_items_ok = 0;
@@ -117,8 +100,6 @@ struct RunReport {
   std::uint64_t batch_workers = 0;            // pool width actually spawned
   std::uint64_t batch_workers_requested = 0;  // pre-clamp thread budget
   std::uint64_t batch_steals = 0;
-  std::uint64_t batch_nested_splits = 0;
-  std::uint64_t batch_nested_helpers = 0;
   double batch_wall_s = 0.0;
   double batch_idle_frac = 0.0;  // sum(idle_s) / (wall_s * workers)
   std::vector<BatchWorkerStat> batch_worker_stats;  // by worker index
@@ -212,15 +193,6 @@ struct RunReport {
   SeriesStats serve_queue_depth;      // serve.queue.depth series
 
   std::vector<ConvergencePoint> convergence;
-
-  // Cross-checks (derived; what PR 3 concluded by reading bench stdout).
-  double generator_busy_frac = 0.0;
-  double mean_worker_busy_frac = 0.0;
-  bool generator_is_bottleneck = false;  // busiest thread is the generator
-  /// Software queue high-water vs the sim's calibrated FIFO bound, in
-  /// rotations; 0 when either side is absent.
-  double queue_vs_sim_bound_ratio = 0.0;
-  bool software_queue_within_sim_bound = false;
 };
 
 /// Analyzes parsed trace + metrics documents.  Throws SchemaError when
@@ -229,16 +201,18 @@ struct RunReport {
 /// shape is missing ("traceEvents" / "metrics" arrays).
 RunReport analyze_run(const JsonValue& trace_doc, const JsonValue& metrics_doc);
 
-/// Serializes a report as the hjsvd.report.v1 JSON document.  Deterministic:
+/// Serializes a report as the hjsvd.report.v2 JSON document.  Deterministic:
 /// fixed member order, doubles at round-trip precision.
 std::string report_json(const RunReport& report);
 
-/// Renders the human-readable view: run summary, phase table, thread table,
-/// occupancy and convergence tables (common/table.hpp).
+/// Renders the human-readable view: run summary, phase table, occupancy and
+/// convergence tables (common/table.hpp).
 std::string report_table(const RunReport& report);
 
-/// Parses a serialized hjsvd.report.v1 document back into a RunReport.
-/// Throws SchemaError on a missing/foreign schema tag.
+/// Parses a serialized hjsvd.report.v2 document back into a RunReport; a
+/// v1 document also parses (its pipeline and cross_checks members, which
+/// v2 dropped, are ignored).  Throws SchemaError on a missing/foreign
+/// schema tag.
 RunReport report_from_json(const JsonValue& doc);
 
 /// Regression thresholds for compare_reports; defaults match
@@ -247,7 +221,6 @@ struct CompareThresholds {
   double max_wall_regress_frac = 0.10;     // new wall ≤ old * (1 + frac)
   std::uint64_t max_sweep_increase = 0;    // convergence must not degrade
   double max_rotation_increase_frac = 0.05;
-  double max_stall_increase_frac = 0.25;   // total stall seconds (pipelined)
   // Accuracy leaves (numerics section): higher is worse.  A candidate may
   // exceed the baseline by the relative fraction, or by the absolute noise
   // floor when both values sit at rounding level (a 3e-17 → 5e-17 "50%

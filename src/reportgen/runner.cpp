@@ -46,9 +46,6 @@ std::string host_description() {
 #if defined(__VERSION__)
   os << ", gcc/clang " << __VERSION__;
 #endif
-#if defined(_OPENMP)
-  os << ", OpenMP " << _OPENMP;
-#endif
   return os.str();
 }
 

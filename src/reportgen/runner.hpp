@@ -27,7 +27,7 @@ double time_best(const std::function<void()>& fn, double min_seconds = 0.2,
 /// matching `sigma = svd(A)` in the paper's MATLAB benchmark).
 double golub_kahan_seconds(const Matrix& a);
 
-/// Wall-clock seconds of the OpenMP group-parallel Hestenes baseline (the
+/// Wall-clock seconds of the pool-parallel group Hestenes baseline (the
 /// GPU-like comparator), 6 sweeps, values only.
 double parallel_hestenes_seconds(const Matrix& a);
 

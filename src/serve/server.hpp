@@ -48,7 +48,8 @@ class TraceRecorder;
 namespace hjsvd::serve {
 
 struct ServerConfig {
-  /// Engine worker threads; 0 defers to the OpenMP runtime.
+  /// Engine worker threads; 0 means std::thread::hardware_concurrency()
+  /// (at least 1).
   std::size_t threads = 0;
   /// Bounded admission queue: pending requests beyond this are rejected
   /// with "rejected:overload".

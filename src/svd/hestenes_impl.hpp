@@ -340,10 +340,6 @@ void gram_upper_ops_into(Matrix& d, const Matrix& a, Ops ops,
   const std::size_t m = a.rows();
   HJSVD_ENSURE(d.rows() == n && d.cols() == n,
                "gram_upper_ops_into output has the wrong shape");
-  // Entries are independent; parallelism is deterministic (no shared
-  // accumulation) and enabled only for policies that allow it.
-#pragma omp parallel for schedule(dynamic, 1) \
-    if (fp::OpsTraits<Ops>::parallel_safe && n >= 64)
   for (std::size_t i = 0; i < n; ++i) {
     const auto ci = a.col(i);
     for (std::size_t j = i; j < n; ++j) {

@@ -1,19 +1,10 @@
 #include "svd/parallel_sweep.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <exception>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
+#include "common/pool.hpp"
 #include "linalg/kernels.hpp"
 #include "svd/hestenes_impl.hpp"
 #include "svd/obs_hooks.hpp"
@@ -22,63 +13,15 @@
 namespace hjsvd {
 namespace {
 
-/// Seconds elapsed since t0 on the steady clock.
-inline double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Writes the elapsed lifetime of a scope into *out at destruction (used
-/// for whole-thread elapsed times; reads happen after join()).
-class ScopeTimer {
- public:
-  explicit ScopeTimer(double* out)
-      : out_(out), t0_(std::chrono::steady_clock::now()) {}
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-  ~ScopeTimer() { *out_ = seconds_since(t0_); }
-
- private:
-  double* out_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-/// Minimum stall duration worth a trace span.  Spin waits shorter than
-/// this are invisible at any useful zoom level but arrive by the tens of
-/// thousands on an oversubscribed host, bloating the trace and costing
-/// measurable wall-clock just to record them; the *aggregate* stall time
-/// is still exact — it accumulates into the pipeline.*.stall_s gauges
-/// whether or not a span is emitted.
-constexpr double kMinStallSpanUs = 50.0;
-
-/// Sum of the first `sweeps` per-sweep totals (run-level rotation counts).
-inline std::uint64_t total_rotations_of(const std::vector<std::uint64_t>& per,
-                                        std::size_t sweeps) {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < sweeps && s < per.size(); ++s) total += per[s];
-  return total;
-}
-
-int resolve_threads(const ParallelSweepConfig& par) {
-#ifdef _OPENMP
-  return par.threads == 0 ? omp_get_max_threads()
-                          : static_cast<int>(par.threads);
-#else
-  (void)par;
-  return 1;
-#endif
-}
-
-/// Update-worker count of the pipelined engine (usable without OpenMP —
-/// the pipelined pool is plain std::thread).
-std::size_t resolve_pool_threads(std::size_t requested) {
-  if (requested != 0) return requested;
-#ifdef _OPENMP
-  return static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
-#else
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-#endif
+/// Runs fn(i) for every i in [0, count): on the pool when there is one,
+/// inline otherwise.
+template <class Fn>
+void for_each_index(WorkStealingPool* pool, std::size_t count, Fn&& fn) {
+  if (pool != nullptr) {
+    pool->fork_join(count, fn);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+  }
 }
 
 /// Canonical upper-triangle location of the covariance between x and y.
@@ -160,30 +103,6 @@ RoundPlan plan_round(const std::vector<Pair>& round, std::size_t n) {
   return plan;
 }
 
-/// Index of task (a, b), a < b, in RoundPlan::tasks — inverts the
-/// emplacement order of plan_round.
-inline std::size_t task_index(const RoundPlan& plan, std::size_t a,
-                              std::size_t b) {
-  const std::size_t total = plan.slots.size();
-  return a * total - a * (a + 1) / 2 + (b - a - 1);
-}
-
-/// Spins (with yields, falling back to short sleeps) until pred() holds.
-/// Returns false — without waiting out pred — once stop is set, so every
-/// pipeline wait unblocks when a peer thread fails.
-template <class Pred>
-bool spin_until(Pred&& pred, const std::atomic<bool>& stop) {
-  for (int spins = 0; !pred(); ++spins) {
-    if (stop.load(std::memory_order_acquire)) return false;
-    if (spins < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 SvdResult parallel_modified_hestenes_svd(const Matrix& a,
@@ -196,7 +115,6 @@ SvdResult parallel_modified_hestenes_svd(const Matrix& a,
   HJSVD_ENSURE(cfg.max_sweeps > 0, "need at least one sweep");
   HJSVD_ENSURE(all_finite(a), "input matrix must be finite (no NaN/inf)");
   const fp::NativeOps ops;
-  [[maybe_unused]] const int nt = resolve_threads(par);
 
   auto* trace = obs::active(cfg.obs.trace);
   auto* metrics = obs::active(cfg.obs.metrics);
@@ -337,15 +255,25 @@ SvdResult parallel_modified_hestenes_svd(const Matrix& a,
       }
       generate_span.end();
 
-      // --- Update array (parallel): cross-block covariance updates.
+      // --- Update array (parallel): cross-block covariance updates, then
+      // the V column pairs (disjoint from D and from each other), all in
+      // one fork-join.
       obs::Span update_span;
       if (trace != nullptr)
         update_span = obs::Span(trace, tid, "pipeline", "update",
                                 obs::ArgsBuilder().add("round", r).str());
-      const auto ntasks = static_cast<std::ptrdiff_t>(plan.tasks.size());
-#pragma omp parallel for schedule(static) num_threads(nt)
-      for (std::ptrdiff_t t = 0; t < ntasks; ++t) {
-        const auto [sa, sb] = plan.tasks[static_cast<std::size_t>(t)];
+      const std::size_t ntasks = plan.tasks.size();
+      const std::size_t nv = need_v ? plan.pair_slots : 0;
+      for_each_index(par.pool, ntasks + nv, [&](std::size_t t) {
+        if (t >= ntasks) {
+          const std::size_t p = t - ntasks;
+          if (!rot[p].active) return;
+          const Slot& s = plan.slots[p];
+          detail::rotate_columns(v, s.cols[0], s.cols[1], rot[p].c, rot[p].s,
+                                 ops);
+          return;
+        }
+        const auto [sa, sb] = plan.tasks[t];
         const Slot& slot_a = plan.slots[sa];
         const Slot& slot_b = plan.slots[sb];
         if (rot[sa].active) {
@@ -358,20 +286,7 @@ SvdResult parallel_modified_hestenes_svd(const Matrix& a,
             update_cov_entry(d, slot_a.cols[c], slot_b.cols[0],
                              slot_b.cols[1], rot[sb].c, rot[sb].s, ops);
         }
-      }
-
-      // --- V accumulation (parallel): pairs own disjoint columns of V.
-      if (need_v) {
-        const auto npairs = static_cast<std::ptrdiff_t>(plan.pair_slots);
-#pragma omp parallel for schedule(static) num_threads(nt)
-        for (std::ptrdiff_t p = 0; p < npairs; ++p) {
-          if (!rot[static_cast<std::size_t>(p)].active) continue;
-          const Slot& s = plan.slots[static_cast<std::size_t>(p)];
-          detail::rotate_columns(v, s.cols[0], s.cols[1],
-                                 rot[static_cast<std::size_t>(p)].c,
-                                 rot[static_cast<std::size_t>(p)].s, ops);
-        }
-      }
+      });
       update_span.end();
     }
     ++sweeps_done;
@@ -416,7 +331,6 @@ SvdResult parallel_plain_hestenes_svd(const Matrix& a,
   HJSVD_ENSURE(cfg.max_sweeps > 0, "need at least one sweep");
   HJSVD_ENSURE(all_finite(a), "input matrix must be finite (no NaN/inf)");
   const fp::NativeOps ops;
-  [[maybe_unused]] const int nt = resolve_threads(par);
 
   Matrix r = a;
   const bool need_v = cfg.compute_v;
@@ -439,11 +353,10 @@ SvdResult parallel_plain_hestenes_svd(const Matrix& a,
     std::atomic<std::uint64_t> rotations{0}, skipped{0};
     for (const auto& round : rounds) {
       // All pairs in a round touch disjoint columns: embarrassingly
-      // parallel, and bit-identical to sequential execution.
-      const auto count = static_cast<std::ptrdiff_t>(round.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nt)
-      for (std::ptrdiff_t p = 0; p < count; ++p) {
-        const auto [i, j] = round[static_cast<std::size_t>(p)];
+      // parallel, and bit-identical to sequential execution.  The
+      // fork-join's return is the round synchronization.
+      for_each_index(par.pool, round.size(), [&](std::size_t p) {
+        const auto [i, j] = round[p];
         const double norm_ii =
             detail::dot_maybe_relaxed(r.col(i), r.col(i), cfg, ops);
         const double norm_jj =
@@ -453,20 +366,18 @@ SvdResult parallel_plain_hestenes_svd(const Matrix& a,
         if (detail::below_threshold(cov, norm_ii, norm_jj,
                                     cfg.rotation_threshold)) {
           skipped.fetch_add(1, std::memory_order_relaxed);
-          continue;
+          return;
         }
         const RotationParams rp =
             compute_rotation(cfg.formula, norm_jj, norm_ii, cov, ops);
         if (!rp.rotate) {
           skipped.fetch_add(1, std::memory_order_relaxed);
-          continue;
+          return;
         }
         detail::rotate_columns(r, i, j, rp.cos, rp.sin, ops);
         if (need_v) detail::rotate_columns(v, i, j, rp.cos, rp.sin, ops);
         rotations.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Implicit barrier at the end of the parallel region = the round
-      // synchronization.
+      });
     }
     ++sweeps_done;
     total_rotations += rotations.load();
@@ -501,527 +412,6 @@ SvdResult parallel_plain_hestenes_svd(const Matrix& a,
 
   detail::finalize_column_result(r, v, cfg, result, ops);
   if (numerics != nullptr) numerics->observe_finalize(a, result);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined round engine.
-//
-// Thread roles (all persistent for the whole decomposition):
-//   generator — the Jacobi rotation component.  Walks rounds in sequential
-//     order; for each pair it waits for the single round r-1 cross-block
-//     task that owns D(i, j) (diagonals are written only by the generator
-//     itself, in program order), then reads D, computes the rotation,
-//     applies the diagonal updates and zeroes D(i, j), and publishes
-//     {cos, sin} through the bounded parameter queue.  It therefore runs at
-//     most one round ahead of the update array — exactly the hardware's
-//     param-FIFO overlap.
-//   nt workers — the update-kernel array.  Each owns a static chunk of the
-//     round's cross-block tasks (plus V column rotations), waits for the
-//     two parameters a task needs, and applies the same arithmetic in the
-//     same per-entry order as the blocked engine.
-//   main — the coordinator.  Dispatches rounds, waits the per-round
-//     barrier, drains parameters nothing consumed (degenerate rounds), and
-//     runs the per-sweep convergence bookkeeping while the pipeline is
-//     fenced.
-//
-// All cross-thread signals are monotonically-versioned atomics stamped with
-// the global round id (sweep * num_rounds + round + 1): a waiter checks
-// `counter >= id`, so no flag is ever cleared and no ABA race exists.
-// Queue occupancy is a plain credit counter; a parameter is charged on push
-// and released by whichever consumer (cross task, V task, or the main-loop
-// drain) reaches it first, via a first-user CAS on param_consumed.
-// ---------------------------------------------------------------------------
-SvdResult pipelined_modified_hestenes_svd(const Matrix& a,
-                                          const HestenesConfig& cfg,
-                                          const PipelinedSweepConfig& pipe,
-                                          HestenesStats* stats,
-                                          PipelineStats* pipeline) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  HJSVD_ENSURE(m > 0 && n > 0, "matrix must be non-empty");
-  HJSVD_ENSURE(cfg.max_sweeps > 0, "need at least one sweep");
-  HJSVD_ENSURE(all_finite(a), "input matrix must be finite (no NaN/inf)");
-  const std::size_t depth = std::max<std::size_t>(1, pipe.queue_depth);
-  if (pipeline != nullptr) {
-    *pipeline = PipelineStats{};
-    pipeline->queue_capacity = depth;
-  }
-  if (n < 2) {
-    // No pairs, hence nothing to pipeline: defer to the sequential
-    // algorithm the engine is contractually identical to.
-    HestenesConfig seq = cfg;
-    seq.ordering = Ordering::kRoundRobin;
-    return modified_hestenes_svd(a, seq, stats);
-  }
-
-  const fp::NativeOps ops;
-  const std::size_t nt = resolve_pool_threads(pipe.threads);
-
-  auto* trace = obs::active(cfg.obs.trace);
-  auto* metrics = obs::active(cfg.obs.metrics);
-  auto* watchdog = obs::active(cfg.obs.watchdog);
-  auto* deadline = obs::active(cfg.obs.deadline);
-  auto* numerics = obs::active(cfg.obs.numerics);
-  const auto engine_t0 = std::chrono::steady_clock::now();
-  std::uint32_t coord_tid = 0, gen_tid = 0;
-  std::vector<std::uint32_t> worker_tids(nt, 0);
-  if (trace != nullptr) {
-    coord_tid = trace->register_thread("pipeline coordinator");
-    gen_tid = trace->register_thread("pipeline generator");
-    for (std::size_t w = 0; w < nt; ++w)
-      worker_tids[w] =
-          trace->register_thread("pipeline worker " + std::to_string(w));
-  }
-  // Per-thread time accounting (seconds); written by the owning thread,
-  // read only after join().
-  double gen_elapsed_s = 0.0, gen_stall_s = 0.0;
-  std::vector<double> worker_elapsed_s(nt, 0.0), worker_stall_s(nt, 0.0);
-
-  obs::Span gram_span;
-  if (trace != nullptr)
-    gram_span =
-        obs::Span(trace, coord_tid, "svd", "gram",
-                  obs::ArgsBuilder().add("rows", m).add("cols", n).str());
-  Matrix d = cfg.simd_relaxed && cfg.gram_chunk_rows == 1
-                 ? gram_upper_relaxed(a)
-                 : gram_upper_ops(a, ops, cfg.gram_chunk_rows);
-  gram_span.end();
-  const bool need_v = cfg.compute_u || cfg.compute_v;
-  Matrix v;
-  if (need_v) v = Matrix::identity(n);
-
-  const auto rounds = round_robin_rounds(n);
-  const std::size_t num_rounds = rounds.size();
-  std::vector<RoundPlan> plans;
-  plans.reserve(num_rounds);
-  for (const auto& round : rounds) plans.push_back(plan_round(round, n));
-
-  // deps[r][p]: index of the plans[r-1] task owning covariance entry
-  // (i, j) of pair p in round r — the only round r-1 update the generator
-  // must wait for before touching that pair.  deps[0] is empty: sweep
-  // boundaries flush the whole pipeline.
-  std::vector<std::vector<std::uint32_t>> deps(num_rounds);
-  for (std::size_t r = 1; r < num_rounds; ++r) {
-    const RoundPlan& prev = plans[r - 1];
-    deps[r].reserve(plans[r].pair_slots);
-    for (std::size_t p = 0; p < plans[r].pair_slots; ++p) {
-      const std::size_t i = plans[r].slots[p].cols[0];
-      const std::size_t j = plans[r].slots[p].cols[1];
-      // The two columns sit in distinct prev-round slots (at most one can
-      // be prev's idle slot), so (min, max) names a valid cross task.
-      const std::size_t sa = std::min(prev.slot_of[i], prev.slot_of[j]);
-      const std::size_t sb = std::max(prev.slot_of[i], prev.slot_of[j]);
-      deps[r].push_back(static_cast<std::uint32_t>(task_index(prev, sa, sb)));
-    }
-  }
-
-  std::size_t max_slots = 0, max_tasks = 1;
-  for (const RoundPlan& plan : plans) {
-    max_slots = std::max(max_slots, plan.slots.size());
-    max_tasks = std::max(max_tasks, plan.tasks.size());
-  }
-
-  // Parameter buffers ping-pong on round-id parity: round id writes
-  // rot[id % 2], which round id + 2 may reuse only after the id barrier —
-  // and the barrier for id completes before id + 1 is even dispatched.
-  std::vector<SlotRotation> rot[2];
-  rot[0].assign(max_slots, SlotRotation{});
-  rot[1].assign(max_slots, SlotRotation{});
-  std::vector<std::atomic<std::uint64_t>> param_ready(max_slots);
-  std::vector<std::atomic<std::uint64_t>> param_consumed(max_slots);
-  std::vector<std::atomic<std::uint64_t>> task_done(max_tasks);
-  std::vector<std::atomic<std::uint64_t>> worker_done(nt);
-  for (auto& x : param_ready) x.store(0, std::memory_order_relaxed);
-  for (auto& x : param_consumed) x.store(0, std::memory_order_relaxed);
-  for (auto& x : task_done) x.store(0, std::memory_order_relaxed);
-  for (auto& x : worker_done) x.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> dispatch{0};
-  std::atomic<std::size_t> queue_size{0};
-  std::atomic<std::size_t> queue_high_water{0};
-  std::atomic<std::uint64_t> params_issued{0};
-  std::atomic<std::uint64_t> producer_stalls{0};
-  std::atomic<std::uint64_t> consumer_stalls{0};
-  std::atomic<std::uint64_t> go_sweep{0};
-  std::atomic<std::uint64_t> gen_sweep_done{0};
-  std::atomic<bool> quit{false};
-  std::atomic<bool> failed{false};
-  std::vector<std::uint64_t> sweep_rotations(cfg.max_sweeps, 0);
-  std::vector<std::uint64_t> sweep_skipped(cfg.max_sweeps, 0);
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  const auto round_id = [num_rounds](std::size_t sweep, std::size_t r) {
-    return static_cast<std::uint64_t>(sweep) * num_rounds + r + 1;
-  };
-  const auto record_error = [&] {
-    {
-      const std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-    failed.store(true, std::memory_order_release);
-  };
-  // Releases slot s's queue credit for round `id` exactly once, no matter
-  // how many consumers touch the slot.
-  const auto consume_param = [&](std::size_t s, std::uint64_t id) {
-    std::uint64_t seen = param_consumed[s].load(std::memory_order_relaxed);
-    while (seen < id) {
-      if (param_consumed[s].compare_exchange_weak(
-              seen, id, std::memory_order_relaxed)) {
-        queue_size.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  // Waits until pred() holds, accumulating the wait into *stall_acc (when
-  // non-null) and emitting a trace stall span on `stall_tid` (when tracing
-  // and the wait was long enough to be visible).  The fast path — pred
-  // already true — takes no timestamps at all.
-  const auto timed_spin_until = [&](auto&& pred, double* stall_acc,
-                                    std::uint32_t stall_tid,
-                                    const char* what) {
-    if (pred()) return true;
-    const auto t0 = std::chrono::steady_clock::now();
-    const double ts_us = trace != nullptr ? trace->now_us() : 0.0;
-    const bool ok = spin_until(pred, failed);
-    const double dt = seconds_since(t0);
-    if (stall_acc != nullptr) *stall_acc += dt;
-    if (trace != nullptr) {
-      // Duration from the recorder's own clock so the stall span cannot
-      // outlive an enclosing span closed a moment later on the same clock.
-      const double dur_us = trace->now_us() - ts_us;
-      if (dur_us >= kMinStallSpanUs)
-        trace->emit_complete(stall_tid, "stall", what, ts_us, dur_us);
-    }
-    return ok;
-  };
-  const auto await_param = [&](std::size_t s, std::uint64_t id,
-                               double* stall_acc, std::uint32_t stall_tid) {
-    if (param_ready[s].load(std::memory_order_acquire) >= id) return true;
-    consumer_stalls.fetch_add(1, std::memory_order_relaxed);
-    return timed_spin_until(
-        [&] { return param_ready[s].load(std::memory_order_acquire) >= id; },
-        stall_acc, stall_tid, "stall:param-wait");
-  };
-
-  // --- The rotation component --------------------------------------------
-  std::thread generator([&] {
-    const ScopeTimer lifetime(&gen_elapsed_s);
-    // Only the generator reads pre-rotation D entries, and it walks pairs
-    // in program order — so the probe's sampling sequence is deterministic
-    // even though the engine is threaded.
-    std::uint64_t pair_seq = 0;
-    try {
-      for (std::size_t sweep = 0; sweep < cfg.max_sweeps; ++sweep) {
-        if (!timed_spin_until(
-                [&] {
-                  return go_sweep.load(std::memory_order_acquire) > sweep ||
-                         quit.load(std::memory_order_acquire);
-                },
-                &gen_stall_s, gen_tid, "stall:sweep-gate")) {
-          return;
-        }
-        if (go_sweep.load(std::memory_order_acquire) <= sweep) return;
-        std::uint64_t rotations = 0, skipped = 0;
-        for (std::size_t r = 0; r < num_rounds; ++r) {
-          const std::uint64_t id = round_id(sweep, r);
-          auto& params = rot[id % 2];
-          const RoundPlan& plan = plans[r];
-          obs::Span generate_span;
-          if (trace != nullptr)
-            generate_span = obs::Span(trace, gen_tid, "pipeline", "generate",
-                                      obs::ArgsBuilder()
-                                          .add("sweep", sweep)
-                                          .add("round", r)
-                                          .str());
-          for (std::size_t p = 0; p < plan.pair_slots; ++p) {
-            if (r > 0) {
-              std::atomic<std::uint64_t>& owner = task_done[deps[r][p]];
-              if (!timed_spin_until(
-                      [&] {
-                        return owner.load(std::memory_order_acquire) >= id - 1;
-                      },
-                      &gen_stall_s, gen_tid, "stall:dep-wait")) {
-                return;
-              }
-            }
-            if (queue_size.load(std::memory_order_relaxed) >= depth) {
-              producer_stalls.fetch_add(1, std::memory_order_relaxed);
-              if (!timed_spin_until(
-                      [&] {
-                        return queue_size.load(std::memory_order_relaxed) <
-                               depth;
-                      },
-                      &gen_stall_s, gen_tid, "stall:queue-full")) {
-                return;
-              }
-            }
-            const std::size_t i = plan.slots[p].cols[0];
-            const std::size_t j = plan.slots[p].cols[1];
-            SlotRotation sr;
-            const double cov = d(i, j);
-            if (numerics != nullptr && numerics->want(pair_seq))
-              numerics->observe_pair(d(i, i), d(j, j), cov);
-            ++pair_seq;
-            if (detail::below_threshold(cov, d(i, i), d(j, j),
-                                        cfg.rotation_threshold)) {
-              ++skipped;
-            } else {
-              const RotationParams rp =
-                  compute_rotation(cfg.formula, d(j, j), d(i, i), cov, ops);
-              if (!rp.rotate) {
-                ++skipped;
-              } else {
-                const double tc = ops.mul(rp.t, cov);
-                d(j, j) = ops.add(d(j, j), tc);  // Algorithm 1 line 15
-                d(i, i) = ops.sub(d(i, i), tc);  // line 16
-                d(i, j) = 0.0;                   // line 17
-                sr = SlotRotation{rp.cos, rp.sin, true};
-                ++rotations;
-              }
-            }
-            params[p] = sr;
-            const std::size_t size =
-                queue_size.fetch_add(1, std::memory_order_relaxed) + 1;
-            std::size_t hw = queue_high_water.load(std::memory_order_relaxed);
-            while (hw < size && !queue_high_water.compare_exchange_weak(
-                                    hw, size, std::memory_order_relaxed)) {
-            }
-            params_issued.fetch_add(1, std::memory_order_relaxed);
-            param_ready[p].store(id, std::memory_order_release);
-          }
-        }
-        sweep_rotations[sweep] = rotations;
-        sweep_skipped[sweep] = skipped;
-        gen_sweep_done.store(sweep + 1, std::memory_order_release);
-      }
-    } catch (...) {
-      record_error();
-    }
-  });
-
-  // --- The update-kernel array -------------------------------------------
-  std::vector<std::thread> workers;
-  workers.reserve(nt);
-  for (std::size_t w = 0; w < nt; ++w) {
-    workers.emplace_back([&, w] {
-      const ScopeTimer lifetime(&worker_elapsed_s[w]);
-      try {
-        for (std::uint64_t next = 1;; ++next) {
-          if (!timed_spin_until(
-                  [&] {
-                    return dispatch.load(std::memory_order_acquire) >= next ||
-                           quit.load(std::memory_order_acquire);
-                  },
-                  &worker_stall_s[w], worker_tids[w], "stall:dispatch")) {
-            return;
-          }
-          if (dispatch.load(std::memory_order_acquire) < next) return;
-          const auto r = static_cast<std::size_t>((next - 1) % num_rounds);
-          const RoundPlan& plan = plans[r];
-          const auto& params = rot[next % 2];
-          const std::size_t ntasks = plan.tasks.size();
-          const std::size_t total =
-              ntasks + (need_v ? plan.pair_slots : 0);
-          const std::size_t begin = w * total / nt;
-          const std::size_t end = (w + 1) * total / nt;
-          obs::Span update_span;
-          if (trace != nullptr && begin < end)
-            update_span = obs::Span(trace, worker_tids[w], "pipeline",
-                                    "update",
-                                    obs::ArgsBuilder()
-                                        .add("round", r)
-                                        .add("tasks", end - begin)
-                                        .str());
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            if (idx < ntasks) {
-              const auto [sa, sb] = plan.tasks[idx];
-              if (!await_param(sa, next, &worker_stall_s[w], worker_tids[w]))
-                return;
-              consume_param(sa, next);
-              const bool sb_rotates = sb < plan.pair_slots;
-              if (sb_rotates) {
-                if (!await_param(sb, next, &worker_stall_s[w],
-                                 worker_tids[w]))
-                  return;
-                consume_param(sb, next);
-              }
-              const Slot& slot_a = plan.slots[sa];
-              const Slot& slot_b = plan.slots[sb];
-              if (params[sa].active) {
-                for (std::size_t c = 0; c < slot_b.count; ++c)
-                  update_cov_entry(d, slot_b.cols[c], slot_a.cols[0],
-                                   slot_a.cols[1], params[sa].c, params[sa].s,
-                                   ops);
-              }
-              if (sb_rotates && params[sb].active) {
-                for (std::size_t c = 0; c < slot_a.count; ++c)
-                  update_cov_entry(d, slot_a.cols[c], slot_b.cols[0],
-                                   slot_b.cols[1], params[sb].c, params[sb].s,
-                                   ops);
-              }
-              task_done[idx].store(next, std::memory_order_release);
-            } else {
-              const std::size_t p = idx - ntasks;
-              if (!await_param(p, next, &worker_stall_s[w], worker_tids[w]))
-                return;
-              consume_param(p, next);
-              if (params[p].active) {
-                detail::rotate_columns(v, plan.slots[p].cols[0],
-                                       plan.slots[p].cols[1], params[p].c,
-                                       params[p].s, ops);
-              }
-            }
-          }
-          worker_done[w].store(next, std::memory_order_release);
-        }
-      } catch (...) {
-        record_error();
-      }
-    });
-  }
-
-  // --- The coordinator -----------------------------------------------------
-  SvdResult result;
-  if (stats != nullptr) *stats = HestenesStats{};
-  std::size_t sweeps_done = 0;
-  bool aborted = false;
-  for (std::size_t sweep = 0; sweep < cfg.max_sweeps && !aborted; ++sweep) {
-    obs::Span sweep_span;
-    if (trace != nullptr)
-      sweep_span = obs::Span(trace, coord_tid, "svd", "sweep",
-                             obs::ArgsBuilder().add("sweep", sweep).str());
-    go_sweep.store(sweep + 1, std::memory_order_release);
-    for (std::size_t r = 0; r < num_rounds && !aborted; ++r) {
-      const std::uint64_t id = round_id(sweep, r);
-      dispatch.store(id, std::memory_order_release);
-      if (metrics != nullptr || trace != nullptr) {
-        // Occupancy sampled once per round, mid-drain: a timing-dependent
-        // timeline (indexed by the monotonic round id) comparable against
-        // the simulator's sim.param_fifo occupancy after the
-        // rotation_group_size calibration (docs/OBSERVABILITY.md).
-        const auto occupancy = static_cast<double>(
-            queue_size.load(std::memory_order_relaxed));
-        if (metrics != nullptr)
-          metrics->series_append("pipeline.queue.occupancy", "rotations",
-                                 static_cast<double>(id), occupancy);
-        if (trace != nullptr)
-          trace->emit_counter(coord_tid, "pipeline",
-                              "pipeline.queue.occupancy", trace->now_us(),
-                              occupancy);
-      }
-      for (std::size_t w = 0; w < nt; ++w) {
-        if (!spin_until(
-                [&] {
-                  return worker_done[w].load(std::memory_order_acquire) >= id;
-                },
-                failed)) {
-          aborted = true;
-          break;
-        }
-      }
-      if (aborted) break;
-      // Drain parameters no task or V rotation consumed (degenerate rounds
-      // only, e.g. n == 2 with no vectors requested), so the queue cannot
-      // silt up across rounds.
-      for (std::size_t p = 0; p < plans[r].pair_slots; ++p) {
-        if (param_consumed[p].load(std::memory_order_relaxed) >= id) continue;
-        if (!await_param(p, id, nullptr, coord_tid)) {
-          aborted = true;
-          break;
-        }
-        consume_param(p, id);
-      }
-    }
-    if (aborted) break;
-    // Fence: the generator finished the sweep (it cannot have entered the
-    // next one — go_sweep still gates it), so d is stable for bookkeeping.
-    if (!spin_until(
-            [&] {
-              return gen_sweep_done.load(std::memory_order_acquire) >=
-                     sweep + 1;
-            },
-            failed)) {
-      break;
-    }
-    ++sweeps_done;
-    detail::record_sweep_metrics(metrics, watchdog, deadline, numerics, sweep, d,
-                                 sweep_rotations[sweep],
-                                 sweep_skipped[sweep]);
-    if (stats != nullptr) {
-      stats->total_rotations += sweep_rotations[sweep];
-      stats->total_skipped += sweep_skipped[sweep];
-      if (cfg.track_convergence)
-        stats->sweeps.push_back(detail::make_record(
-            d, sweep_rotations[sweep], sweep_skipped[sweep]));
-    }
-    if (cfg.tolerance > 0.0 && max_relative_offdiag(d) < cfg.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  quit.store(true, std::memory_order_release);
-  generator.join();
-  for (auto& t : workers) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-
-  result.sweeps = sweeps_done;
-  if (cfg.tolerance == 0.0) {
-    result.converged = max_relative_offdiag(d) < 1e-10;
-  }
-  // Per-thread busy = lifetime - accumulated stalls (never negative: clock
-  // granularity can make the two measurements disagree by nanoseconds).
-  PipelineStats measured;
-  measured.queue_capacity = depth;
-  measured.queue_high_water = queue_high_water.load();
-  measured.params_issued = params_issued.load();
-  measured.producer_stalls = producer_stalls.load();
-  measured.consumer_stalls = consumer_stalls.load();
-  measured.wall_s = seconds_since(engine_t0);
-  measured.generator_stall_s = gen_stall_s;
-  measured.generator_busy_s = std::max(0.0, gen_elapsed_s - gen_stall_s);
-  measured.worker_busy_s.resize(nt);
-  measured.worker_stall_s.resize(nt);
-  for (std::size_t w = 0; w < nt; ++w) {
-    measured.worker_stall_s[w] = worker_stall_s[w];
-    measured.worker_busy_s[w] =
-        std::max(0.0, worker_elapsed_s[w] - worker_stall_s[w]);
-  }
-  if (pipeline != nullptr) *pipeline = measured;
-  if (metrics != nullptr) {
-    metrics->gauge_set("pipeline.queue.capacity", "rotations",
-                       static_cast<double>(measured.queue_capacity));
-    metrics->gauge_set("pipeline.queue.high_water", "rotations",
-                       static_cast<double>(measured.queue_high_water));
-    metrics->counter_add("pipeline.params_issued", "rotations",
-                         measured.params_issued);
-    metrics->counter_add("pipeline.producer_stalls", "stalls",
-                         measured.producer_stalls);
-    metrics->counter_add("pipeline.consumer_stalls", "stalls",
-                         measured.consumer_stalls);
-    metrics->gauge_set("pipeline.wall_s", "s", measured.wall_s);
-    metrics->gauge_set("pipeline.generator.busy_s", "s",
-                       measured.generator_busy_s);
-    metrics->gauge_set("pipeline.generator.stall_s", "s",
-                       measured.generator_stall_s);
-    for (std::size_t w = 0; w < nt; ++w) {
-      const std::string prefix =
-          "pipeline.worker." + std::to_string(w) + ".";
-      metrics->gauge_set(prefix + "busy_s", "s", measured.worker_busy_s[w]);
-      metrics->gauge_set(prefix + "stall_s", "s", measured.worker_stall_s[w]);
-    }
-  }
-
-  obs::Span finalize_span;
-  if (trace != nullptr)
-    finalize_span = obs::Span(trace, coord_tid, "svd", "finalize");
-  detail::finalize_gram_result(a, d, v, cfg, result, ops, cfg.workspace);
-  finalize_span.end();
-  if (numerics != nullptr) numerics->observe_finalize(a, result);
-  detail::record_run_metrics(metrics, m, n, result.sweeps,
-                             total_rotations_of(sweep_rotations, sweeps_done),
-                             total_rotations_of(sweep_skipped, sweeps_done),
-                             result.converged);
   return result;
 }
 

@@ -4,7 +4,8 @@
 // fans each rotation's covariance updates out over an array of update
 // kernels (Fig. 1).  This module is the software mirror of that structure,
 // exploiting the same disjoint-pair parallelism of the round-robin ordering
-// (Fig. 6) on OpenMP threads:
+// (Fig. 6) as fork-join loops on a WorkStealingPool (common/pool.hpp), one
+// fork-join per round:
 //
 //  * Plain path — all floor(n/2) pairs of a round touch disjoint columns, so
 //    their dot products and column rotations run concurrently with no
@@ -14,84 +15,32 @@
 //
 //  * Modified (Gram-rotating) path — rotation parameters of a round depend
 //    only on D entries no *other* pair of the round touches, so they are all
-//    generated up front (the serial rotation component); the covariance
-//    updates are then decomposed into 2x2 cross-blocks between slot pairs
-//    (the block-partitioned analogue of the hardware's update-kernel array).
-//    Each cross-block is owned by exactly one task and applies its two
-//    rotations in round order, which makes the schedule race-free and the
-//    result bitwise identical to the sequential round-robin modified
-//    Hestenes at every thread count.
+//    generated up front on the calling thread (the serial rotation
+//    component); the covariance updates are then decomposed into 2x2
+//    cross-blocks between slot pairs (the block-partitioned analogue of the
+//    hardware's update-kernel array).  Each cross-block is owned by exactly
+//    one loop index and applies its two rotations in round order, which
+//    makes the schedule race-free and the result bitwise identical to the
+//    sequential round-robin modified Hestenes at every thread count.
 //
-//  * Pipelined modified path — the software analogue of the hardware's
-//    parameter FIFO (Fig. 1): a dedicated generator thread (the Jacobi
-//    rotation component) runs one round ahead of a persistent pool of
-//    update workers (the update-kernel array), so round r+1's rotation
-//    parameters are computed while round r's cross-block covariance
-//    updates drain.  A bounded parameter queue mirrors the 127-bit
-//    internal FIFOs: the generator stalls when the queue is full, workers
-//    stall when the parameter they need has not been issued yet, and the
-//    queue's high-water mark is reported so it can be cross-checked
-//    against the accelerator simulator's FIFO occupancy.
-//
-// Determinism contract (asserted by tests/svd/test_parallel_sweep.cpp and
-// tests/svd/test_pipelined_sweep.cpp): for any OMP_NUM_THREADS /
-// ParallelSweepConfig::threads / PipelinedSweepConfig::{threads,
-// queue_depth}, all engines return bit-identical singular values, vectors,
-// and sweep counts — equal to their sequential counterparts with
-// Ordering::kRoundRobin.
+// Determinism contract (asserted by tests/svd/test_parallel_sweep.cpp): for
+// any pool size, or no pool at all, both engines return bit-identical
+// singular values, vectors, and sweep counts — equal to their sequential
+// counterparts with Ordering::kRoundRobin.
 #pragma once
 
 #include "svd/hestenes.hpp"
 
 namespace hjsvd {
 
-/// Threading knobs of the parallel sweep engine.
+class WorkStealingPool;
+
+/// Executor of the parallel sweep engine.
 struct ParallelSweepConfig {
-  /// Worker thread count; 0 defers to the OpenMP runtime default
-  /// (OMP_NUM_THREADS).  Results do not depend on this value.
-  std::size_t threads = 0;
-};
-
-/// Knobs of the pipelined round engine.  Results do not depend on either
-/// value (only wall-clock time and the reported queue statistics do).
-struct PipelinedSweepConfig {
-  /// Update-worker thread count; the rotation-parameter generator runs on
-  /// its own additional thread (the hardware's dedicated rotation
-  /// component).  0 defers to the OpenMP runtime default / hardware
-  /// concurrency.
-  std::size_t threads = 0;
-  /// Capacity of the bounded rotation-parameter queue between the
-  /// generator and the update workers, in rotations (the hardware buffers
-  /// its 127-bit {cos, sin, index} words in internal FIFOs).  Clamped to
-  /// at least 1.
-  std::size_t queue_depth = 8;
-};
-
-/// Measured behavior of the bounded parameter queue over one run —
-/// timing-dependent diagnostics (not deterministic, unlike the SVD
-/// result).  Comparable against arch::AcceleratorRunResult's
-/// param_fifo_high_water, which counts rotation *groups* rather than
-/// single rotations.
-struct PipelineStats {
-  std::size_t queue_capacity = 0;   // configured depth actually used
-  std::size_t queue_high_water = 0; // max rotations in flight at once
-  std::uint64_t params_issued = 0;  // pushes (incl. skipped-pair markers)
-  std::uint64_t producer_stalls = 0; // generator waits on a full queue
-  std::uint64_t consumer_stalls = 0; // worker waits on a missing parameter
-
-  // Per-phase/per-thread time accounting (seconds on the steady clock;
-  // timing-dependent like the stall counters).  "Stall" is time spent inside
-  // a pipeline wait — the generator waiting on a round r-1 dependency or a
-  // full queue, a worker waiting for dispatch or a missing parameter; "busy"
-  // is the thread's lifetime minus its stalls.  The ROADMAP's
-  // generator-bottleneck question reads directly off generator_busy_s /
-  // wall_s versus the workers' busy fractions (bench_parallel_sweep records
-  // them in BENCH_pipelined_sweep.json).
-  double wall_s = 0.0;              // whole-engine wall time
-  double generator_busy_s = 0.0;
-  double generator_stall_s = 0.0;
-  std::vector<double> worker_busy_s;   // one entry per update worker
-  std::vector<double> worker_stall_s;  // one entry per update worker
+  /// Pool whose threads run each round's loop (the calling thread joins
+  /// in); null runs every loop inline on the calling thread.  Results do
+  /// not depend on this value.
+  WorkStealingPool* pool = nullptr;
 };
 
 /// Pair-parallel plain (recomputing) one-sided Hestenes-Jacobi.  Uses
@@ -110,19 +59,5 @@ SvdResult parallel_modified_hestenes_svd(const Matrix& a,
                                          const HestenesConfig& cfg = {},
                                          const ParallelSweepConfig& par = {},
                                          HestenesStats* stats = nullptr);
-
-/// Pipelined modified (Gram-rotating) Hestenes-Jacobi: a persistent
-/// thread-pool round engine in which round r+1's rotation parameters are
-/// generated concurrently with round r's cross-block covariance updates,
-/// coupled through a bounded parameter queue (the software analogue of the
-/// hardware's param FIFO).  Round-robin ordering is forced; the result is
-/// bitwise identical to the sequential kRoundRobin modified algorithm at
-/// every thread count and queue depth.  `pipeline` (optional) receives the
-/// queue's measured occupancy statistics.
-SvdResult pipelined_modified_hestenes_svd(const Matrix& a,
-                                          const HestenesConfig& cfg = {},
-                                          const PipelinedSweepConfig& pipe = {},
-                                          HestenesStats* stats = nullptr,
-                                          PipelineStats* pipeline = nullptr);
 
 }  // namespace hjsvd

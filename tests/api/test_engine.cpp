@@ -15,6 +15,8 @@
 #include "common/rng.hpp"
 #include "fp/softfloat.hpp"
 #include "linalg/generate.hpp"
+#include "svd/hestenes.hpp"
+#include "svd/plain_hestenes.hpp"
 
 namespace hjsvd {
 namespace {
@@ -53,6 +55,36 @@ TEST(EngineInstance, DecomposeMatchesSvdBitwise) {
       expect_bitwise_equal(engine.decompose(a, opt), ref,
                            std::string(svd_method_token(method)) + " run " +
                                std::to_string(run));
+  }
+}
+
+TEST(EngineInstance, PooledParallelMethodsMatchSequentialRoundRobin) {
+  // decompose() lends the resident pool to the parallel methods' per-round
+  // loops; the result must be the sequential round-robin one, bit for bit.
+  Rng rng(13);
+  const Matrix a = random_gaussian(33, 26, rng);
+  HestenesConfig hj;
+  hj.max_sweeps = 30;
+  hj.tolerance = 1e-13;
+  hj.ordering = Ordering::kRoundRobin;
+  hj.compute_u = true;
+  hj.compute_v = true;
+  const SvdResult plain_ref = plain_hestenes_svd(a, hj);
+  const SvdResult modified_ref = modified_hestenes_svd(a, hj);
+  SvdOptions opt;
+  opt.max_sweeps = hj.max_sweeps;
+  opt.tolerance = hj.tolerance;
+  opt.compute_u = true;
+  opt.compute_v = true;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    EngineInstance engine(EngineConfig{.threads = threads});
+    const std::string context = "threads " + std::to_string(threads);
+    opt.method = SvdMethod::kParallelHestenes;
+    expect_bitwise_equal(engine.decompose(a, opt), plain_ref,
+                         context + " parallel");
+    opt.method = SvdMethod::kParallelModifiedHestenes;
+    expect_bitwise_equal(engine.decompose(a, opt), modified_ref,
+                         context + " parallel-modified");
   }
 }
 
@@ -121,8 +153,6 @@ TEST(EngineInstance, BatchValidationStillThrowsInItemErrorsMode) {
 
 TEST(EngineInstance, WarmWavesReuseWorkspaces) {
   Rng rng(47);
-  // Equal-cost items below the split threshold so every decomposition runs
-  // the sequential arena-backed path.
   // One worker so wave-to-wave item placement cannot move between arenas.
   std::vector<Matrix> batch;
   for (int i = 0; i < 6; ++i) batch.push_back(random_gaussian(12, 9, rng));

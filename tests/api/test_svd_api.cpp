@@ -46,7 +46,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SvdMethod::kModifiedHestenes, SvdMethod::kPlainHestenes,
                       SvdMethod::kParallelHestenes,
                       SvdMethod::kParallelModifiedHestenes,
-                      SvdMethod::kPipelinedModifiedHestenes,
                       SvdMethod::kTwoSidedJacobi, SvdMethod::kGolubKahan),
     [](const auto& param_info) {
       std::string name = svd_method_name(param_info.param);
@@ -76,30 +75,29 @@ TEST(SvdApi, MethodNamesAreDistinct) {
                svd_method_name(SvdMethod::kTwoSidedJacobi));
   EXPECT_STRNE(svd_method_name(SvdMethod::kParallelHestenes),
                svd_method_name(SvdMethod::kParallelModifiedHestenes));
-  EXPECT_STRNE(svd_method_name(SvdMethod::kParallelModifiedHestenes),
-               svd_method_name(SvdMethod::kPipelinedModifiedHestenes));
 }
 
-TEST(SvdApi, PipelinedMethodMatchesSequentialBitForBit) {
+TEST(SvdApi, PooledParallelMethodMatchesSequentialBitForBit) {
+  // threads > 1 runs the blocked engine on an ephemeral engine's pool;
+  // threads = 1 runs its loops inline.  Both match the sequential method.
   Rng rng(98);
   const Matrix a = random_gaussian(17, 12, rng);
   SvdOptions opt;
   opt.compute_u = true;
   opt.compute_v = true;
   const SvdResult seq = svd(a, opt);
-  opt.method = SvdMethod::kPipelinedModifiedHestenes;
-  for (std::size_t depth : {1u, 8u}) {
-    opt.pipeline_queue_depth = depth;
-    opt.threads = 2;
+  opt.method = SvdMethod::kParallelModifiedHestenes;
+  for (std::size_t threads : {0u, 1u, 2u, 4u}) {
+    opt.threads = threads;
     const SvdResult r = svd(a, opt);
     ASSERT_EQ(r.singular_values.size(), seq.singular_values.size());
     for (std::size_t i = 0; i < seq.singular_values.size(); ++i)
       EXPECT_EQ(fp::to_bits(r.singular_values[i]),
                 fp::to_bits(seq.singular_values[i]))
-          << "depth " << depth << " value " << i;
+          << "threads " << threads << " value " << i;
     for (std::size_t i = 0; i < seq.u.data().size(); ++i)
       EXPECT_EQ(fp::to_bits(r.u.data()[i]), fp::to_bits(seq.u.data()[i]))
-          << "depth " << depth << " U entry " << i;
+          << "threads " << threads << " U entry " << i;
   }
 }
 
@@ -163,11 +161,11 @@ TEST(SvdBatch, ValidatesTheWholeBatchUpFront) {
   EXPECT_THROW(svd_batch(batch), Error);
 }
 
-TEST(SvdBatch, SelectsPipelinedMethod) {
+TEST(SvdBatch, SelectsParallelModifiedMethod) {
   Rng rng(99);
   const auto batch = make_batch(rng);
   SvdOptions opt;
-  opt.method = SvdMethod::kPipelinedModifiedHestenes;
+  opt.method = SvdMethod::kParallelModifiedHestenes;
   opt.compute_v = true;
   const auto results = svd_batch(batch, opt, /*threads=*/3);
   ASSERT_EQ(results.size(), batch.size());

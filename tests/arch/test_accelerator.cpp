@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "linalg/generate.hpp"
 #include "svd/hestenes.hpp"
-#include "svd/parallel_sweep.hpp"
 
 namespace hjsvd::arch {
 namespace {
@@ -168,32 +167,6 @@ TEST(AcceleratorSim, FifoHighWaterBoundedAndModeled) {
   const auto analytic = estimate_timing(slow, 64, 64);
   EXPECT_EQ(run.param_fifo_high_water, 3u);
   EXPECT_EQ(analytic.param_fifo_occupancy, 3u);
-}
-
-TEST(AcceleratorSim, FifoHighWaterComparableToSoftwareQueue) {
-  // The software pipeline reports its bounded-queue high-water mark in
-  // single rotations; the simulator reports it in rotation groups.  Both
-  // must respect their configured capacity on the same problem, which is
-  // the cross-check the two diagnostics exist for.
-  Rng rng(109);
-  const Matrix a = random_gaussian(32, 32, rng);
-  AcceleratorConfig cfg;
-  cfg.param_fifo_depth = 4;
-  const auto run = simulate_accelerator(a, cfg);
-  EXPECT_LE(run.param_fifo_high_water, cfg.param_fifo_depth);
-
-  HestenesConfig num_cfg;
-  num_cfg.max_sweeps = cfg.sweeps;
-  PipelinedSweepConfig pipe;
-  pipe.threads = 2;
-  pipe.queue_depth =
-      cfg.param_fifo_depth * cfg.rotation_group_size;  // same capacity in
-                                                       // single rotations
-  PipelineStats qs;
-  (void)pipelined_modified_hestenes_svd(a, num_cfg, pipe, nullptr, &qs);
-  EXPECT_GE(qs.queue_high_water, 1u);
-  EXPECT_LE(qs.queue_high_water, qs.queue_capacity);
-  EXPECT_EQ(qs.queue_capacity, pipe.queue_depth);
 }
 
 TEST(AcceleratorSim, ZeroDepthFifoRejected) {

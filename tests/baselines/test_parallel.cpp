@@ -1,4 +1,4 @@
-// Tests for the OpenMP group-parallel ("GPU-like") Hestenes baseline.
+// Tests for the pool-parallel group ("GPU-like") Hestenes baseline.
 #include "baselines/parallel_hestenes.hpp"
 
 #include <gtest/gtest.h>

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,32 +111,6 @@ TEST(Pool, LowestIndexErrorWinsRegardlessOfTiming) {
   }
 }
 
-TEST(Pool, HelpersBorrowedAgainstTotalWidth) {
-  const std::vector<double> costs{4.0};
-  WorkStealingOptions o = opts(1);
-  o.total_width = 4;
-  o.max_helpers = {8};  // clamped to width - 1
-  std::size_t seen_helpers = 0;
-  const auto stats =
-      run_work_stealing(costs, {{0}}, o, [&](const PoolTaskInfo& info) {
-        seen_helpers = info.helpers;
-      });
-  EXPECT_EQ(seen_helpers, 3u);
-  EXPECT_EQ(stats.nested_runs, 1u);
-  EXPECT_EQ(stats.helpers_granted, 3u);
-}
-
-TEST(Pool, NoHelpersWithoutACap) {
-  const std::vector<double> costs{1.0, 2.0};
-  WorkStealingOptions o = opts(2);
-  o.total_width = 8;
-  const auto stats = run_work_stealing(
-      costs, arch::shard_by_cost(costs, 2), o,
-      [&](const PoolTaskInfo& info) { EXPECT_EQ(info.helpers, 0u); });
-  EXPECT_EQ(stats.nested_runs, 0u);
-  EXPECT_EQ(stats.helpers_granted, 0u);
-}
-
 TEST(Pool, WorkerStartHookRunsOnEveryWorker) {
   const std::vector<double> costs{1.0, 1.0, 1.0};
   WorkStealingOptions o = opts(3);
@@ -177,6 +153,102 @@ TEST(Pool, StatsAccountBusyAndIdlePerWorker) {
     EXPECT_GT(stats.busy_s[w], 0.0) << w;
     EXPECT_GE(stats.idle_s[w], 0.0) << w;
   }
+}
+
+// --- fork_join --------------------------------------------------------------
+
+/// Threads of this process, from /proc/self/status (0 where unavailable).
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+TEST(Pool, ForkJoinRunsEveryIndexExactlyOnce) {
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    WorkStealingPool pool(workers);
+    const std::size_t n = 1000;
+    std::vector<std::atomic<int>> runs(n);
+    for (auto& r : runs) r.store(0);
+    pool.fork_join(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " i=" << i;
+  }
+}
+
+TEST(Pool, ForkJoinHandlesEmptyAndShortLoops) {
+  WorkStealingPool pool(4);
+  pool.fork_join(0, [](std::size_t) { FAIL() << "no index to run"; });
+  for (std::size_t n : {1u, 2u, 3u}) {  // fewer indices than workers
+    std::vector<std::atomic<int>> runs(n);
+    for (auto& r : runs) r.store(0);
+    pool.fork_join(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << n;
+  }
+}
+
+TEST(Pool, ForkJoinRethrowsLowestIndexAfterAllIndicesRan) {
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    WorkStealingPool pool(workers);
+    for (int rep = 0; rep < 5; ++rep) {
+      std::atomic<int> ran{0};
+      try {
+        pool.fork_join(64, [&](std::size_t i) {
+          ran.fetch_add(1);
+          if (i == 50) throw Error("index fifty");
+          if (i == 17) throw Error("index seventeen");
+        });
+        FAIL() << "expected an exception";
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "index seventeen");
+      }
+      EXPECT_EQ(ran.load(), 64) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(Pool, ForkJoinInsideAPoolTaskRunsInline) {
+  WorkStealingPool pool(3);
+  // Inside a seeded wave's task: every index runs on the task's thread.
+  const std::vector<double> costs{1.0, 1.0};
+  WorkStealingOptions o = opts(2);
+  pool.run(costs, arch::shard_by_cost(costs, 2), o, [&](const PoolTaskInfo&) {
+    const auto self = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    pool.fork_join(100, [&](std::size_t) {
+      if (std::this_thread::get_id() != self) elsewhere.fetch_add(1);
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+  });
+  // Inside another fork-join: the inner loop stays on the outer index's
+  // thread instead of opening a second team.
+  std::atomic<int> elsewhere{0};
+  std::atomic<int> inner_runs{0};
+  pool.fork_join(8, [&](std::size_t) {
+    const auto self = std::this_thread::get_id();
+    pool.fork_join(10, [&](std::size_t) {
+      inner_runs.fetch_add(1);
+      if (std::this_thread::get_id() != self) elsewhere.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), 80);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(Pool, ForkJoinBackToBackRoundsNeitherHangNorLeak) {
+  WorkStealingPool pool(4);
+  const std::size_t threads_before = process_threads();
+  std::atomic<std::uint64_t> sum{0};
+  const std::size_t rounds = 10000;
+  for (std::size_t r = 0; r < rounds; ++r)
+    pool.fork_join(8, [&](std::size_t i) { sum.fetch_add(i + 1); });
+  EXPECT_EQ(sum.load(), rounds * 36u);
+  // Rounds reuse the resident threads; none are spawned per round.  (The
+  // count may drop: threads of an earlier test's pool can still be in
+  // the middle of exiting when it is first read.)
+  EXPECT_LE(process_threads(), threads_before);
 }
 
 }  // namespace

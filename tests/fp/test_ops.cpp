@@ -81,11 +81,5 @@ TEST(CoreLatencies, PaperDefaults) {
   EXPECT_EQ(lat.of(OpKind::kSqrt), 57u);
 }
 
-TEST(OpsTraits, ParallelSafety) {
-  EXPECT_TRUE(OpsTraits<NativeOps>::parallel_safe);
-  EXPECT_TRUE(OpsTraits<SoftOps>::parallel_safe);
-  EXPECT_FALSE(OpsTraits<CountingOps>::parallel_safe);
-}
-
 }  // namespace
 }  // namespace hjsvd::fp

@@ -482,7 +482,6 @@ const SvdMethod kHestenesMethods[] = {
     SvdMethod::kPlainHestenes,
     SvdMethod::kParallelHestenes,
     SvdMethod::kParallelModifiedHestenes,
-    SvdMethod::kPipelinedModifiedHestenes,
 };
 
 TEST(SimdEngine, ResultsBitIdenticalAcrossLevelsAndThreads) {

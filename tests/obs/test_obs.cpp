@@ -19,6 +19,7 @@
 
 #include "api/svd.hpp"
 #include "arch/accelerator_sim.hpp"
+#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "fp/ops.hpp"
 #include "linalg/generate.hpp"
@@ -158,19 +159,16 @@ Matrix test_matrix(std::size_t m, std::size_t n, std::uint64_t seed = 7) {
   return random_gaussian(m, n, rng);
 }
 
-/// Runs the pipelined engine with both sinks attached.
+/// Runs the blocked engine on a pool with both sinks attached.
 SvdResult traced_run(const Matrix& a, obs::TraceRecorder* trace,
-                     obs::MetricsRegistry* metrics, std::size_t threads = 2,
-                     std::size_t depth = 8) {
+                     obs::MetricsRegistry* metrics, std::size_t threads = 2) {
   HestenesConfig cfg;
   cfg.compute_u = true;
   cfg.compute_v = true;
   cfg.obs.trace = trace;
   cfg.obs.metrics = metrics;
-  PipelinedSweepConfig pipe;
-  pipe.threads = threads;
-  pipe.queue_depth = depth;
-  return pipelined_modified_hestenes_svd(a, cfg, pipe);
+  WorkStealingPool pool(threads);
+  return parallel_modified_hestenes_svd(a, cfg, {.pool = &pool});
 }
 
 // --- JSON validity ---------------------------------------------------------
@@ -269,26 +267,6 @@ TEST(ObsTrace, SpansNestWellFormedPerTimeline) {
 
 // --- Counter tracks (trace schema v2) --------------------------------------
 
-TEST(ObsTrace, PipelinedRunEmitsQueueCounterTrack) {
-  obs::TraceRecorder trace;
-  traced_run(test_matrix(24, 16), &trace, nullptr);
-  std::size_t counters = 0;
-  for (const auto& e : trace.snapshot()) {
-    if (e.ph != 'C') continue;
-    EXPECT_EQ(e.name, "pipeline.queue.occupancy");
-    EXPECT_EQ(e.pid, obs::kSoftwarePid);
-    EXPECT_GE(e.value, 0.0);
-    ++counters;
-  }
-  // One sample per dispatched round over >= 1 sweep of a 16-column matrix.
-  EXPECT_GE(counters, 15u);
-  // Serialized counter events carry ph "C" and an args value Perfetto plots.
-  const std::string doc = trace.to_json();
-  EXPECT_NE(doc.find("\"ph\":\"C\",\"name\":\"pipeline.queue.occupancy\""),
-            std::string::npos);
-  EXPECT_NE(doc.find("\"args\":{\"value\":"), std::string::npos);
-}
-
 TEST(ObsTrace, SimulatorEmitsFifoCounterTrack) {
   obs::TraceRecorder trace;
   arch::AcceleratorConfig cfg;
@@ -327,7 +305,6 @@ TEST(ObsTrace, SimulatorEventsUseSimulatorPid) {
 const char* const kDeterministicMetrics[] = {
     "svd.rows",          "svd.cols",
     "svd.sweeps",        "svd.converged",
-    "pipeline.queue.capacity",
 };
 
 TEST(ObsDeterminism, CountersIdenticalAcrossThreadCounts) {
@@ -341,8 +318,6 @@ TEST(ObsDeterminism, CountersIdenticalAcrossThreadCounts) {
               regs[i].counter("svd.rotations_applied"));
     EXPECT_EQ(regs[0].counter("svd.rotations_skipped"),
               regs[i].counter("svd.rotations_skipped"));
-    EXPECT_EQ(regs[0].counter("pipeline.params_issued"),
-              regs[i].counter("pipeline.params_issued"));
     for (const char* name : kDeterministicMetrics)
       EXPECT_EQ(regs[0].gauge(name), regs[i].gauge(name)) << name;
     // Per-sweep convergence series are bitwise equal: same rotations in
@@ -364,7 +339,7 @@ TEST(ObsDeterminism, CountersIdenticalAcrossThreadCounts) {
 
 TEST(ObsDeterminism, ResultsByteIdenticalWithAndWithoutSinks) {
   const Matrix a = test_matrix(32, 24);
-  // Sequential, blocked, and pipelined engines, plus the api front door.
+  // Sequential and blocked engines, plus the api front door.
   const auto expect_same = [](const SvdResult& plainr, const SvdResult& obsd) {
     ASSERT_EQ(plainr.singular_values.size(), obsd.singular_values.size());
     for (std::size_t i = 0; i < plainr.singular_values.size(); ++i)
@@ -394,13 +369,12 @@ TEST(ObsDeterminism, ResultsByteIdenticalWithAndWithoutSinks) {
   expect_same(modified_hestenes_svd(a, cfg), modified_hestenes_svd(a, with));
   expect_same(parallel_modified_hestenes_svd(a, cfg),
               parallel_modified_hestenes_svd(a, with));
-  expect_same(pipelined_modified_hestenes_svd(a, cfg),
-              pipelined_modified_hestenes_svd(a, with));
 
   SvdOptions opt;
   opt.compute_u = true;
   opt.compute_v = true;
-  opt.method = SvdMethod::kPipelinedModifiedHestenes;
+  opt.method = SvdMethod::kParallelModifiedHestenes;
+  opt.threads = 2;
   SvdOptions with_opt = opt;
   with_opt.trace = &trace;
   with_opt.metrics = &metrics;
@@ -442,7 +416,7 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
   // bitwise identical; every engine must at least record the same series
   // names with one point per sweep.
   HestenesConfig cfg;
-  obs::MetricsRegistry seq, plain, par_plain, blocked, block_cfg_reg, piped;
+  obs::MetricsRegistry seq, plain, par_plain, blocked, block_cfg_reg;
   {
     HestenesConfig c = cfg;
     c.obs.metrics = &seq;
@@ -468,13 +442,8 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
     c.obs.metrics = &block_cfg_reg;
     block_hestenes_svd(a, c);
   }
-  {
-    HestenesConfig c = cfg;
-    c.obs.metrics = &piped;
-    pipelined_modified_hestenes_svd(a, c, {});
-  }
-  const obs::MetricsRegistry* regs[] = {&seq,     &plain,         &par_plain,
-                                        &blocked, &block_cfg_reg, &piped};
+  const obs::MetricsRegistry* regs[] = {&seq, &plain, &par_plain, &blocked,
+                                        &block_cfg_reg};
   for (const auto* reg : regs) {
     for (const char* series : {"svd.sweep.offdiag_frobenius",
                                "svd.sweep.max_rel_offdiag",
@@ -489,10 +458,10 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
     EXPECT_EQ(reg->gauge("svd.rows").value(), 24.0);
     EXPECT_EQ(reg->gauge("svd.cols").value(), 16.0);
   }
-  // The bitwise-identical trio agrees point-for-point on the trajectory.
+  // The bitwise-identical pair agrees point-for-point on the trajectory.
   const auto base = seq.series("svd.sweep.offdiag_frobenius");
-  for (const auto* reg : {&blocked, &piped}) {
-    const auto other = reg->series("svd.sweep.offdiag_frobenius");
+  {
+    const auto other = blocked.series("svd.sweep.offdiag_frobenius");
     ASSERT_EQ(base.size(), other.size());
     for (std::size_t k = 0; k < base.size(); ++k)
       EXPECT_EQ(fp::to_bits(base[k].second), fp::to_bits(other[k].second));
@@ -537,7 +506,7 @@ TEST(ObsManifest, CarriesProvenanceAndSchemaVersions) {
   EXPECT_NE(json.find("\"git_sha\": \""), std::string::npos);
   EXPECT_NE(json.find("\"trace\": \"hjsvd.trace.v2\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\": \"hjsvd.metrics.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"report\": \"hjsvd.report.v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"report\": \"hjsvd.report.v2\""), std::string::npos);
   EXPECT_GE(obs::host_hardware_threads(), 1);
   EXPECT_STRNE(obs::build_git_sha(), "");
 }

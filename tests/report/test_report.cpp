@@ -1,5 +1,5 @@
 // Report subsystem tests: the JSON reader, analyze_run on fixed fixtures, a
-// byte-exact golden-file check of the serialized hjsvd.report.v1 document,
+// byte-exact golden-file check of the serialized hjsvd.report.v2 document,
 // the serialize/parse round trip, and the compare gate's regression logic.
 #include "report/json.hpp"
 #include "report/report.hpp"
@@ -133,23 +133,6 @@ TEST(ReportAnalyze, PhasesAggregateSoftwareSpansByName) {
   EXPECT_FALSE(saw_sim);
 }
 
-TEST(ReportAnalyze, ThreadAndQueueSections) {
-  const RunReport r = fixture_report();
-  ASSERT_TRUE(r.has_pipeline);
-  ASSERT_EQ(r.threads.size(), 3u);
-  EXPECT_EQ(r.threads[0].name, "generator");
-  EXPECT_EQ(r.threads[0].busy_frac_of_wall, 0.01);
-  EXPECT_EQ(r.threads[1].name, "worker.0");
-  EXPECT_EQ(r.threads[1].busy_frac_of_wall, 0.5);
-  EXPECT_EQ(r.threads[2].busy_frac_of_wall, 0.6);
-  EXPECT_EQ(r.queue_capacity, 8.0);
-  EXPECT_EQ(r.queue_high_water, 8.0);
-  EXPECT_EQ(r.queue_occupancy.samples, 4u);
-  EXPECT_EQ(r.queue_occupancy.mean, 3.5);
-  EXPECT_EQ(r.queue_occupancy.p95, 8.0);  // nearest-rank over {0,2,4,8}
-  EXPECT_EQ(r.queue_occupancy.max, 8.0);
-}
-
 TEST(ReportAnalyze, SimSectionAndCrossChecks) {
   const RunReport r = fixture_report();
   ASSERT_TRUE(r.has_sim);
@@ -157,13 +140,9 @@ TEST(ReportAnalyze, SimSectionAndCrossChecks) {
   EXPECT_EQ(r.sim_fifo_high_water_rotations, 32.0);
   EXPECT_EQ(r.sim_fifo_occupancy.samples, 3u);
   EXPECT_EQ(r.sim_update_utilization, 0.4);
-  // The PR 3 conclusion, derived from artifacts alone: generator busy
-  // (1%) is dwarfed by the workers (mean 55%).
-  EXPECT_EQ(r.generator_busy_frac, 0.01);
-  EXPECT_EQ(r.mean_worker_busy_frac, 0.55);
-  EXPECT_FALSE(r.generator_is_bottleneck);
-  EXPECT_EQ(r.queue_vs_sim_bound_ratio, 0.25);
-  EXPECT_TRUE(r.software_queue_within_sim_bound);
+  // The run summary comes from the software spans alone: their extent is
+  // the wall clock whether or not a sim section is present.
+  EXPECT_EQ(r.wall_s, 2.0);
 }
 
 TEST(ReportAnalyze, ConvergenceTrajectoryUnified) {
@@ -216,8 +195,6 @@ const char* kBatchMetrics = R"({
   {"name": "batch.workers.requested", "unit": "threads", "type": "gauge", "value": 4},
   {"name": "batch.wall_s", "unit": "s", "type": "gauge", "value": 2},
   {"name": "batch.steals", "unit": "tasks", "type": "counter", "value": 3},
-  {"name": "batch.nested.splits", "unit": "matrices", "type": "counter", "value": 1},
-  {"name": "batch.nested.helpers", "unit": "threads", "type": "counter", "value": 2},
   {"name": "batch.worker.0.busy_s", "unit": "s", "type": "gauge", "value": 1.5},
   {"name": "batch.worker.0.idle_s", "unit": "s", "type": "gauge", "value": 0.5},
   {"name": "batch.worker.1.busy_s", "unit": "s", "type": "gauge", "value": 1},
@@ -242,8 +219,6 @@ TEST(ReportBatch, AnalyzeFillsBatchSectionFromMetrics) {
   EXPECT_EQ(r.batch_workers, 2u);
   EXPECT_EQ(r.batch_workers_requested, 4u);
   EXPECT_EQ(r.batch_steals, 3u);
-  EXPECT_EQ(r.batch_nested_splits, 1u);
-  EXPECT_EQ(r.batch_nested_helpers, 2u);
   EXPECT_EQ(r.batch_wall_s, 2.0);
   // (0.5 + 1.0) idle over 2 workers * 2s wall.
   EXPECT_DOUBLE_EQ(r.batch_idle_frac, 0.375);
@@ -270,7 +245,7 @@ TEST(ReportBatch, BatchSectionRoundTrips) {
 }
 
 TEST(ReportBatch, AbsentBatchOmitsTheMemberEntirely) {
-  // Unlike pipeline/sim there is no "batch": null — reports from before
+  // Unlike sim there is no "batch": null — reports from before
   // the batch scheduler must keep serializing byte-for-byte (the golden
   // file below enforces the same thing).
   const std::string json = report_json(fixture_report());
@@ -280,7 +255,6 @@ TEST(ReportBatch, AbsentBatchOmitsTheMemberEntirely) {
 TEST(ReportBatch, TableRendersSchedulerBehaviour) {
   const std::string table = report_table(batch_report());
   EXPECT_NE(table.find("3 steals"), std::string::npos);
-  EXPECT_NE(table.find("1 nested splits"), std::string::npos);
   EXPECT_NE(table.find("Batch-scheduler pool workers"), std::string::npos);
   EXPECT_NE(table.find("2 workers (4 requested)"), std::string::npos);
 }
@@ -600,7 +574,7 @@ TEST(ReportGolden, SerializationMatchesGoldenByteForByte) {
   const std::string got = report_json(fixture_report());
   const std::string want = slurp(data_path("golden_report.json"));
   EXPECT_EQ(got, want)
-      << "hjsvd.report.v1 serialization changed; if intentional, regenerate "
+      << "hjsvd.report.v2 serialization changed; if intentional, regenerate "
          "tests/report/data/golden_report.json with hjsvd_report and bump "
          "the schema notes in docs/OBSERVABILITY.md";
 }
@@ -616,10 +590,9 @@ TEST(ReportGolden, RoundTripPreservesEverythingComparable) {
 
 TEST(ReportTable, HumanViewNamesTheConclusions) {
   const std::string table = report_table(fixture_report());
-  EXPECT_NE(table.find("generator is NOT the bottleneck"), std::string::npos);
   EXPECT_NE(table.find("Per-phase wall-clock breakdown"), std::string::npos);
   EXPECT_NE(table.find("Convergence trajectory"), std::string::npos);
-  EXPECT_NE(table.find("within bound"), std::string::npos);
+  EXPECT_NE(table.find("param-FIFO"), std::string::npos);
 }
 
 // --- Compare gate ----------------------------------------------------------
@@ -657,17 +630,6 @@ TEST(ReportCompare, FlagsConvergenceRegressions) {
   busier.rotations_applied =
       static_cast<std::uint64_t>(base.rotations_applied * 1.2);
   EXPECT_TRUE(compare_reports(base, busier, {}).regressed);
-}
-
-TEST(ReportCompare, FlagsPipelineRegressions) {
-  const RunReport base = fixture_report();
-  RunReport stally = base;
-  for (auto& t : stally.threads) t.stall_s *= 2.0;
-  EXPECT_TRUE(compare_reports(base, stally, {}).regressed);
-
-  RunReport flipped = base;
-  flipped.generator_is_bottleneck = true;
-  EXPECT_TRUE(compare_reports(base, flipped, {}).regressed);
 }
 
 TEST(ReportCompare, WorkloadMismatchRefusesComparison) {

@@ -1,6 +1,5 @@
 // Matrix zoo: ill-conditioned, graded and extreme-scale inputs through
-// every Gram-rotating engine (sequential, blocked, pipelined, mixed
-// precision), with relative singular-value error bounds.
+// every Gram-rotating engine (sequential, blocked, mixed precision), with relative singular-value error bounds.
 //
 // The accuracy contract is the one for Jacobi applied to the explicitly
 // formed Gram matrix D = A^T A (the modified-Gram formulation all these
@@ -79,7 +78,6 @@ const ZooCase kZoo[] = {
 const SvdMethod kEngines[] = {
     SvdMethod::kModifiedHestenes,
     SvdMethod::kParallelModifiedHestenes,
-    SvdMethod::kPipelinedModifiedHestenes,
     SvdMethod::kMixedModifiedHestenes,
 };
 
@@ -121,7 +119,6 @@ std::string zoo_param_name(
   switch (method) {
     case SvdMethod::kModifiedHestenes: engine = "sequential"; break;
     case SvdMethod::kParallelModifiedHestenes: engine = "blocked"; break;
-    case SvdMethod::kPipelinedModifiedHestenes: engine = "pipelined"; break;
     case SvdMethod::kMixedModifiedHestenes: engine = "mixed"; break;
     default: engine = "other"; break;
   }
@@ -211,8 +208,6 @@ TEST(MatrixZoo, ScaledThresholdRunsConvergeInEveryEngine) {
   EXPECT_TRUE(modified_hestenes_svd(a, cfg).converged) << "sequential";
   EXPECT_TRUE(parallel_modified_hestenes_svd(a, cfg, {}).converged)
       << "blocked";
-  EXPECT_TRUE(pipelined_modified_hestenes_svd(a, cfg, {}).converged)
-      << "pipelined";
   MixedHestenesConfig mixed;
   mixed.base = cfg;
   EXPECT_TRUE(mixed_modified_hestenes_svd(a, mixed).converged) << "mixed";
@@ -347,9 +342,9 @@ TEST(MatrixZooProbes, ProbesNeverPerturbAnyEngineAtAnyThreadCount) {
   const Matrix a = random_conditioned(40, 28, 1e10, rng);
   // The full Hestenes family, not just the modified-Gram engines of kEngines.
   const SvdMethod probe_engines[] = {
-      SvdMethod::kModifiedHestenes,          SvdMethod::kPlainHestenes,
-      SvdMethod::kParallelHestenes,          SvdMethod::kParallelModifiedHestenes,
-      SvdMethod::kPipelinedModifiedHestenes, SvdMethod::kMixedModifiedHestenes,
+      SvdMethod::kModifiedHestenes,  SvdMethod::kPlainHestenes,
+      SvdMethod::kParallelHestenes,  SvdMethod::kParallelModifiedHestenes,
+      SvdMethod::kMixedModifiedHestenes,
   };
   for (const SvdMethod method : probe_engines) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -1,5 +1,5 @@
 // Tests for the multi-threaded sweep engine: bitwise determinism across
-// thread counts and exact equivalence with the sequential round-robin
+// pool sizes and exact equivalence with the sequential round-robin
 // algorithms, on square / tall / wide / rank-deficient inputs.
 #include "svd/parallel_sweep.hpp"
 
@@ -9,6 +9,7 @@
 
 #include "baselines/golub_kahan.hpp"
 #include "common/error.hpp"
+#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "fp/softfloat.hpp"
 #include "linalg/generate.hpp"
@@ -80,8 +81,8 @@ TEST_P(ParallelSweepShapes, ModifiedEngineMatchesSequentialBitForBit) {
   const HestenesConfig cfg = config();
   const SvdResult seq = modified_hestenes_svd(a, cfg);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    ParallelSweepConfig par;
-    par.threads = threads;
+    WorkStealingPool pool(threads);
+    const ParallelSweepConfig par{.pool = &pool};
     const SvdResult r = parallel_modified_hestenes_svd(a, cfg, par);
     expect_bit_identical(r, seq,
                          (std::string(shape_name(GetParam())) + " threads=" +
@@ -96,8 +97,8 @@ TEST_P(ParallelSweepShapes, PlainEngineMatchesSequentialBitForBit) {
   const HestenesConfig cfg = config();
   const SvdResult seq = plain_hestenes_svd(a, cfg);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    ParallelSweepConfig par;
-    par.threads = threads;
+    WorkStealingPool pool(threads);
+    const ParallelSweepConfig par{.pool = &pool};
     const SvdResult r = parallel_plain_hestenes_svd(a, cfg, par);
     expect_bit_identical(r, seq,
                          (std::string(shape_name(GetParam())) + " threads=" +
@@ -114,8 +115,8 @@ TEST_P(ParallelSweepShapes, StatsIdenticalAcrossThreadCounts) {
   HestenesStats ref_stats;
   (void)modified_hestenes_svd(a, cfg, &ref_stats);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    ParallelSweepConfig par;
-    par.threads = threads;
+    WorkStealingPool pool(threads);
+    const ParallelSweepConfig par{.pool = &pool};
     HestenesStats stats;
     (void)parallel_modified_hestenes_svd(a, cfg, par, &stats);
     EXPECT_EQ(stats.total_rotations, ref_stats.total_rotations);
@@ -159,8 +160,8 @@ TEST(ParallelSweep, OddColumnCountHandled) {
   cfg.compute_u = true;
   cfg.compute_v = true;
   const SvdResult seq = modified_hestenes_svd(a, cfg);
-  ParallelSweepConfig par;
-  par.threads = 3;
+  WorkStealingPool pool(3);
+  const ParallelSweepConfig par{.pool = &pool};
   const SvdResult r = parallel_modified_hestenes_svd(a, cfg, par);
   ASSERT_EQ(r.singular_values.size(), seq.singular_values.size());
   for (std::size_t i = 0; i < r.singular_values.size(); ++i)
@@ -176,8 +177,8 @@ TEST(ParallelSweep, RotationThresholdHonored) {
   cfg.rotation_threshold = 1e-9;
   HestenesStats seq_stats, par_stats;
   const SvdResult seq = modified_hestenes_svd(a, cfg, &seq_stats);
-  ParallelSweepConfig par;
-  par.threads = 2;
+  WorkStealingPool pool(2);
+  const ParallelSweepConfig par{.pool = &pool};
   const SvdResult r = parallel_modified_hestenes_svd(a, cfg, par, &par_stats);
   EXPECT_EQ(par_stats.total_rotations, seq_stats.total_rotations);
   EXPECT_EQ(par_stats.total_skipped, seq_stats.total_skipped);

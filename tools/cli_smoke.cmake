@@ -34,18 +34,18 @@ if(NOT v1 STREQUAL v2)
   endif()
 endif()
 
-# The pipelined engine must agree with the sequential method bit-for-bit
-# (same printed digits) at a non-default thread count and queue depth.
+# The blocked engine on a pool must agree with the sequential method
+# bit-for-bit (same printed digits) at a non-default thread count.
 execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method pipelined-modified
-          --threads 3 --queue-depth 2 --values 3
+  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method parallel-modified
+          --threads 3 --values 3
   RESULT_VARIABLE rc3 OUTPUT_VARIABLE out3 ERROR_VARIABLE err3)
 if(NOT rc3 EQUAL 0)
-  message(FATAL_ERROR "pipelined decompose failed: ${out3}${err3}")
+  message(FATAL_ERROR "parallel-modified decompose failed: ${out3}${err3}")
 endif()
 string(REGEX MATCH "sigma\\[0\\] = ([0-9.e+-]+)" m3 "${out3}")
 if(NOT CMAKE_MATCH_1 STREQUAL v1)
-  message(FATAL_ERROR "pipelined sigma differs: ${CMAKE_MATCH_1} vs ${v1}")
+  message(FATAL_ERROR "parallel-modified sigma differs: ${CMAKE_MATCH_1} vs ${v1}")
 endif()
 
 # The mixed-precision engine takes a different rotation path (float opening
@@ -74,7 +74,7 @@ endif()
 # Observability outputs: the run must succeed, announce both files, and
 # leave non-empty JSON documents with the right schema tags behind.
 execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method pipelined-modified
+  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method parallel-modified
           --trace-out ${WORKDIR}/smoke_trace.json
           --metrics-out ${WORKDIR}/smoke_metrics.json
   RESULT_VARIABLE rc4 OUTPUT_VARIABLE out4 ERROR_VARIABLE err4)
@@ -191,13 +191,12 @@ if(NOT err_empty MATCHES "no .mtx files" OR NOT err_empty MATCHES "--method")
                       "usage text: ${err_empty}")
 endif()
 
-# Batch usage errors: mutually exclusive flags, malformed specs, and
-# out-of-range split thresholds are usage errors (exit 2), not crashes.
+# Batch usage errors: mutually exclusive flags and malformed specs are
+# usage errors (exit 2), not crashes.
 foreach(bad_batch
     "--batch;12x8;--input;${WORKDIR}/smoke.mtx"
     "--batch;12x8;--write-u;${WORKDIR}/u.mtx"
     "--batch;12x8;--fpga-sim;true"
-    "--batch;12x8;--split-threshold;1.5"
     "--batch;10xbad"
     "--batch;12x8*0")
   execute_process(

@@ -8,7 +8,7 @@
 //   hjsvd_cli --input A.mtx --method hestenes --values 10
 //   hjsvd_cli --input A.mtx --method golub-kahan --write-u U.mtx --write-v V.mtx
 //   hjsvd_cli --input A.mtx --fpga-estimate
-//   hjsvd_cli --input A.mtx --method pipelined-modified
+//   hjsvd_cli --input A.mtx --method parallel-modified --threads 2
 //       --trace-out trace.json --metrics-out metrics.json
 //   hjsvd_cli --generate 512x128 --seed 3 --output A.mtx
 //   hjsvd_cli --batch matrices/ --threads 4
@@ -55,7 +55,7 @@ SvdMethod parse_method(const std::string& name) {
   if (!svd_method_from_token(name, &method))
     throw UsageError("unknown --method '" + name +
                      "' (hestenes|plain|parallel|parallel-modified|"
-                     "pipelined-modified|mixed-modified|two-sided|golub-kahan)");
+                     "mixed-modified|two-sided|golub-kahan)");
   return method;
 }
 
@@ -243,12 +243,10 @@ int main(int argc, char** argv) {
     cli.add_option("input", "", "input .mtx file");
     cli.add_option("method", "hestenes",
                    "hestenes|plain|parallel|parallel-modified|"
-                   "pipelined-modified|mixed-modified|two-sided|golub-kahan");
+                   "mixed-modified|two-sided|golub-kahan");
     cli.add_option("threads", "auto",
-                   "worker threads for the parallel methods (positive "
-                   "integer, or 'auto' = all)");
-    cli.add_option("queue-depth", "8",
-                   "parameter-queue capacity of --method pipelined-modified");
+                   "worker threads for the parallel methods and --batch "
+                   "(positive integer, or 'auto' = hardware concurrency)");
     cli.add_option("simd", "auto",
                    "SIMD kernel dispatch level: off|scalar|avx2|auto "
                    "(auto = HJSVD_SIMD env var, else best available; every "
@@ -277,9 +275,6 @@ int main(int argc, char** argv) {
                    "decompose a whole batch on the work-stealing pool: a "
                    "directory of .mtx files, or a generated spec like "
                    "24x16*6,64x48 (uses --seed)");
-    cli.add_option("split-threshold", "0.25",
-                   "--batch: cost fraction at which one item expands onto "
-                   "borrowed workers (nested parallelism); 0 disables");
     cli.add_option("generate", "",
                    "generate a gaussian ROWSxCOLS matrix instead of reading");
     cli.add_option("cond", "0",
@@ -343,7 +338,6 @@ int main(int argc, char** argv) {
     opt.tolerance = parse_positive_double(cli, "tolerance");
     opt.mp_switch_threshold = parse_positive_double(cli, "mp-switch");
     opt.threads = parse_count(cli, "threads", 0);
-    opt.pipeline_queue_depth = parse_count(cli, "queue-depth", 8);
     opt.compute_u = !cli.get("write-u").empty();
     opt.compute_v = !cli.get("write-v").empty();
 
@@ -502,11 +496,6 @@ int main(int argc, char** argv) {
       if (cli.get_bool("fpga-sim") || cli.get_bool("fpga-estimate"))
         throw UsageError("--fpga-sim/--fpga-estimate apply to single-matrix "
                          "runs, not --batch");
-      const double split = cli.get_double("split-threshold");
-      if (!(split >= 0.0 && split <= 1.0))
-        throw UsageError("--split-threshold must be in [0, 1], got '" +
-                         cli.get("split-threshold") + "'");
-      opt.batch_split_min_fraction = split;
       auto items = load_batch(
           spec, static_cast<std::uint64_t>(cli.get_int("seed")));
       std::vector<Matrix> batch;
@@ -539,9 +528,7 @@ int main(int argc, char** argv) {
       std::cout << table.to_string() << '\n';
       std::cout << "scheduler: " << stats.workers << " workers ("
                 << stats.requested_workers << " requested), " << stats.steals
-                << " steals, " << stats.nested_splits
-                << " nested splits (+" << stats.helpers_granted
-                << " helper threads), " << format_duration(seconds)
+                << " steals, " << format_duration(seconds)
                 << " wall\n";
       if (opt.metrics != nullptr)
         registry.gauge_set("cli.wall_s", "s", seconds);
@@ -586,8 +573,8 @@ int main(int argc, char** argv) {
                 << "speedup over this run: "
                 << format_fixed(seconds / t.seconds, 1) << "x\n";
       if (opt.metrics != nullptr) {
-        // The analytic model's FIFO bound, in both its native unit and the
-        // software queue's unit, next to pipeline.queue.high_water.
+        // The analytic model's FIFO bound, in rotation groups and in single
+        // rotations.
         registry.gauge_set("sim.model.cycles.total", "cycles",
                            static_cast<double>(t.total));
         registry.gauge_set("sim.model.seconds", "s", t.seconds);

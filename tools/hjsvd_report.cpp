@@ -1,7 +1,7 @@
 // hjsvd_report — offline trace/metrics analyzer and perf-regression gate.
 //
 // Analyze mode: ingest one run's recorded artifacts and emit the
-// hjsvd.report.v1 document plus a human-readable summary.
+// hjsvd.report.v2 document plus a human-readable summary.
 //
 //   hjsvd_report --trace run_trace.json --metrics run_metrics.json
 //       --out run_report.json
@@ -144,15 +144,13 @@ int main(int argc, char** argv) {
                    "hjsvd.trace.v1/v2/v3 JSON file (analyze mode)");
     cli.add_option("metrics", "", "hjsvd.metrics.v1 JSON file (analyze mode)");
     cli.add_option("out", "",
-                   "write the hjsvd.report.v1 JSON here (default: stdout)");
+                   "write the hjsvd.report.v2 JSON here (default: stdout)");
     cli.add_option("max-wall-regress-frac", "0.10",
                    "compare: allowed fractional wall-clock slowdown");
     cli.add_option("max-sweep-increase", "0",
                    "compare: allowed extra sweeps to convergence");
     cli.add_option("max-rotation-increase-frac", "0.05",
                    "compare: allowed fractional rotation-count growth");
-    cli.add_option("max-stall-increase-frac", "0.25",
-                   "compare: allowed fractional pipeline-stall growth");
     cli.add_option("max-accuracy-regress-frac", "0.50",
                    "compare: allowed fractional growth of the numerics "
                    "accuracy leaves (backward error, orthogonality drift)");
@@ -170,8 +168,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("max-sweep-increase"));
     thresholds.max_rotation_increase_frac =
         cli.get_double("max-rotation-increase-frac");
-    thresholds.max_stall_increase_frac =
-        cli.get_double("max-stall-increase-frac");
     thresholds.max_accuracy_regress_frac =
         cli.get_double("max-accuracy-regress-frac");
     thresholds.accuracy_noise_floor = cli.get_double("accuracy-noise-floor");

@@ -45,7 +45,8 @@ void print_usage(std::ostream& os) {
         "one reply line per request to stdout; EOF drains and exits 0.\n"
         "\n"
         "options:\n"
-        "  --threads N         engine worker threads (default: OpenMP)\n"
+        "  --threads N         engine worker threads (default: hardware "
+        "concurrency)\n"
         "  --queue-capacity N  admission queue bound; beyond it requests\n"
         "                      are rejected with rejected:overload "
         "(default 64)\n"

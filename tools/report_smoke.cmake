@@ -1,7 +1,7 @@
-# Report smoke test: record a pipelined run (with the accelerator sim), run
-# hjsvd_report over the artifacts, and exercise the --compare exit-code
-# contract — 0 on identical runs, 3 on an injected regression, 2 on
-# malformed or wrong-schema inputs.
+# Report smoke test: record a blocked-engine run on a pool (with the
+# accelerator sim), run hjsvd_report over the artifacts, and exercise the
+# --compare exit-code contract — 0 on identical runs, 3 on an injected
+# regression, 2 on malformed or wrong-schema inputs.
 execute_process(
   COMMAND ${CLI} --generate 48x24 --seed 11 --output ${WORKDIR}/report.mtx
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -9,57 +9,41 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "generate failed: ${out}${err}")
 endif()
 
-# Record + analyze: table on stdout, hjsvd.report.v1 document on disk, and
-# the PR-3 profiling conclusion reproduced from the artifacts alone.  The
-# generator-vs-worker verdict is a real measurement of a sub-millisecond
-# run: on a loaded single-core host the scheduler can starve the workers
-# and flip it, so re-record (bounded) instead of failing on timing noise.
-set(conclusion_ok FALSE)
-foreach(attempt RANGE 1 3)
-  execute_process(
-    COMMAND ${CLI} --input ${WORKDIR}/report.mtx --method pipelined-modified
-            --threads 2 --fpga-sim true
-            --trace-out ${WORKDIR}/report_trace.json
-            --metrics-out ${WORKDIR}/report_metrics.json
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "recorded run failed: ${out}${err}")
-  endif()
-
-  execute_process(
-    COMMAND ${REPORT} --trace ${WORKDIR}/report_trace.json
-            --metrics ${WORKDIR}/report_metrics.json
-            --out ${WORKDIR}/report.json
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "hjsvd_report failed (${rc}): ${out}${err}")
-  endif()
-  if(out MATCHES "generator is NOT the bottleneck")
-    set(conclusion_ok TRUE)
-    break()
-  endif()
-  message(STATUS "attempt ${attempt}: generator-vs-worker verdict flipped "
-                 "(loaded host?), re-recording")
-endforeach()
-if(NOT conclusion_ok)
-  message(FATAL_ERROR "report did not reproduce the generator-vs-worker "
-                      "conclusion in 3 attempts: ${out}")
+# Record + analyze: table on stdout, hjsvd.report.v2 document on disk.
+execute_process(
+  COMMAND ${CLI} --input ${WORKDIR}/report.mtx --method parallel-modified
+          --threads 2 --fpga-sim true
+          --trace-out ${WORKDIR}/report_trace.json
+          --metrics-out ${WORKDIR}/report_metrics.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "recorded run failed: ${out}${err}")
+endif()
+execute_process(
+  COMMAND ${REPORT} --trace ${WORKDIR}/report_trace.json
+          --metrics ${WORKDIR}/report_metrics.json
+          --out ${WORKDIR}/report.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "hjsvd_report failed (${rc}): ${out}${err}")
+endif()
+if(NOT out MATCHES "Per-phase wall-clock breakdown")
+  message(FATAL_ERROR "report table lacks the phase breakdown: ${out}")
 endif()
 file(READ ${WORKDIR}/report.json report_body)
-foreach(needle "\"schema\": \"hjsvd.report.v1\""
-               "\"generator_is_bottleneck\": false"
-               "\"pipeline\":" "\"sim\":" "\"convergence\":")
+foreach(needle "\"schema\": \"hjsvd.report.v2\""
+               "\"sim\":" "\"convergence\":")
   if(NOT report_body MATCHES "${needle}")
     message(FATAL_ERROR "report.json lacks ${needle}")
   endif()
 endforeach()
-
-# The trace must carry Perfetto counter events for both the software queue
-# and the simulator FIFO occupancy tracks.
-file(READ ${WORKDIR}/report_trace.json trace_body)
-if(NOT trace_body MATCHES "\"ph\":\"C\",\"name\":\"pipeline.queue.occupancy\"")
-  message(FATAL_ERROR "trace lacks the pipeline queue counter track")
+if(report_body MATCHES "\"pipeline\":")
+  message(FATAL_ERROR "report.json still carries the v1 pipeline section")
 endif()
+
+# The trace must carry the Perfetto counter track of the simulator FIFO
+# occupancy.
+file(READ ${WORKDIR}/report_trace.json trace_body)
 if(NOT trace_body MATCHES "\"ph\":\"C\",\"name\":\"sim.param_fifo.occupancy\"")
   message(FATAL_ERROR "trace lacks the sim FIFO counter track")
 endif()
