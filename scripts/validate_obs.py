@@ -31,7 +31,7 @@ Exit code 0 = valid, 1 = validation failure, 2 = usage error.
 
 Usage:
   scripts/validate_obs.py --trace trace.json --metrics metrics.json \
-      --require-span sweep --require-span generate \
+      --require-span sweep --require-span finalize \
       --require-metric svd.sweep.offdiag_frobenius
   scripts/validate_obs.py --report report.json
   scripts/validate_obs.py --snapshots live/snapshots.jsonl

@@ -32,7 +32,7 @@ SvdResult EngineInstance::decompose(const Matrix& a,
                                     const SvdOptions& options) {
   SvdOptions opts = options;
   if (opts.workspace == nullptr) opts.workspace = &caller_ws_;
-  const bool pooled = detail::runs_on_pool(options.method) && threads_ > 1;
+  const bool pooled = threads_ > 1 && detail::runs_on_pool(options.method, a);
   return detail::svd_on_pool(a, opts, pooled ? &ensure_pool() : nullptr);
 }
 

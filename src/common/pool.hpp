@@ -22,9 +22,9 @@
 // timing.
 //
 // The pool is the library's only thread runtime.  Besides the seeded waves
-// above it runs fork-join loops (WorkStealingPool::fork_join): the pair
-// and cross-block loops of the parallel sweep engines borrow the resident
-// threads of the EngineInstance that owns the pool.  There is one level of
+// above it runs fork-join loops (WorkStealingPool::fork_join): the plain
+// Hestenes engine's rounds of disjoint pairs borrow the resident threads
+// of the EngineInstance that owns the pool.  There is one level of
 // threads: a fork-join issued from inside a pool task runs inline on that
 // task's thread.
 #pragma once

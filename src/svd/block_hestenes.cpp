@@ -1,13 +1,12 @@
 #include "svd/block_hestenes.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "fp/ops.hpp"
 #include "linalg/kernels.hpp"
-#include "svd/hestenes_impl.hpp"  // detail::rotate_columns
 #include "svd/obs_hooks.hpp"
 #include "svd/ordering.hpp"
+#include "svd/plain_hestenes_impl.hpp"  // rotate_columns, finalize_column_result
 #include "svd/rotation.hpp"
 
 namespace hjsvd {
@@ -133,44 +132,9 @@ SvdResult block_hestenes_svd(const Matrix& a, const BlockHestenesConfig& cfg,
   detail::record_run_metrics(metrics, m, n, sweeps_done, total_rotations,
                              total_skipped, result.converged);
 
-  // Extraction identical to the plain variant: B = R = U * Sigma.
-  const std::size_t k = std::min(m, n);
-  std::vector<double> norms(n);
-  // col_norm guards the squared sum against overflow/underflow and is
-  // bitwise sqrt(squared_norm) in the normal range.
-  for (std::size_t c = 0; c < n; ++c) norms[c] = col_norm(r.col(c));
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return norms[x] > norms[y];
-  });
-  result.singular_values.resize(k);
-  for (std::size_t t = 0; t < k; ++t)
-    result.singular_values[t] = norms[order[t]];
-
-  const double sigma_max =
-      result.singular_values.empty() ? 0.0 : result.singular_values[0];
-  const double cutoff =
-      sigma_max * static_cast<double>(std::max(m, n)) * 1e-15;
-  if (cfg.compute_u) {
-    result.u = Matrix(m, k);
-    for (std::size_t t = 0; t < k; ++t) {
-      const double sv = norms[order[t]];
-      if (sv <= cutoff) continue;
-      const auto bt = r.col(order[t]);
-      auto ut = result.u.col(t);
-      for (std::size_t row = 0; row < m; ++row) ut[row] = bt[row] / sv;
-    }
-  }
-  if (need_v) {
-    Matrix v_sorted(n, k);
-    for (std::size_t t = 0; t < k; ++t) {
-      const auto src = v.col(order[t]);
-      auto dst = v_sorted.col(t);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-    result.v = std::move(v_sorted);
-  }
+  // B = R = U * Sigma: the plain engine's extraction, U re-orthonormalized.
+  detail::finalize_column_result(r, v, cfg.compute_u, cfg.compute_v, result,
+                                 ops);
   if (numerics != nullptr) numerics->observe_finalize(a, result);
   return result;
 }

@@ -9,7 +9,8 @@ namespace hjsvd {
 template SvdResult plain_hestenes_svd_t<fp::FixedOps>(const Matrix&,
                                                       const HestenesConfig&,
                                                       HestenesStats*,
-                                                      fp::FixedOps);
+                                                      fp::FixedOps,
+                                                      WorkStealingPool*);
 
 SvdResult fixed_point_hestenes_svd(const Matrix& a, const fp::FixedFormat& fmt,
                                    fp::FixedStats& stats,

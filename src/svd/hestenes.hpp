@@ -75,8 +75,8 @@ struct HestenesConfig {
   /// (the default) allocates fresh buffers per run.  Results are bitwise
   /// identical either way (acquired buffers come back zeroed); the arena
   /// must not be shared across concurrently running engines.  Honored by
-  /// the sequential modified engine and the finalization of the
-  /// Gram-rotating parallel engines; other engines ignore it.
+  /// the modified engine only; the plain, mixed and block engines ignore
+  /// it.
   Workspace* workspace = nullptr;
 
   /// Accumulation chunking of the initial Gram computation: chunk_rows = 1

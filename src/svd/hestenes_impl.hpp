@@ -173,19 +173,8 @@ double dot_ops(std::span<const double> x, std::span<const double> y, Ops ops) {
   return acc;
 }
 
-/// dot_ops, except native-arithmetic runs under the opt-in relaxed SIMD
-/// tier take the lane-split kernel (norms included: dot of a column with
-/// itself is bitwise squared_norm_relaxed).
-template <class Ops>
-double dot_maybe_relaxed(std::span<const double> x, std::span<const double> y,
-                         const HestenesConfig& cfg, Ops ops) {
-  if constexpr (std::is_same_v<Ops, fp::NativeOps>) {
-    if (cfg.simd_relaxed) return dot_relaxed(x, y);
-  }
-  return dot_ops<Ops>(x, y, ops);
-}
-
-/// gram_upper_ops (chunk_rows == 1) with the same relaxed-tier escape.
+/// gram_upper_ops (chunk_rows == 1), except native-arithmetic runs under the
+/// opt-in relaxed SIMD tier take the lane-split kernel.
 template <class Ops>
 Matrix gram_upper_maybe_relaxed(const Matrix& a, const HestenesConfig& cfg,
                                 Ops ops) {

@@ -54,24 +54,27 @@ std::vector<std::vector<Pair>> odd_even_rounds(std::size_t n) {
   return rounds;
 }
 
-std::vector<Pair> sweep_pairs(Ordering ordering, std::size_t n) {
+std::vector<std::vector<Pair>> sweep_rounds(Ordering ordering, std::size_t n) {
   switch (ordering) {
-    case Ordering::kRowCyclic:
-      return row_cyclic_sweep(n);
-    case Ordering::kRoundRobin: {
-      std::vector<Pair> flat;
-      for (auto& round : round_robin_rounds(n))
-        flat.insert(flat.end(), round.begin(), round.end());
-      return flat;
+    case Ordering::kRowCyclic: {
+      std::vector<std::vector<Pair>> rounds;
+      for (const Pair& p : row_cyclic_sweep(n)) rounds.push_back({p});
+      return rounds;
     }
-    case Ordering::kOddEven: {
-      std::vector<Pair> flat;
-      for (auto& round : odd_even_rounds(n))
-        flat.insert(flat.end(), round.begin(), round.end());
-      return flat;
-    }
+    case Ordering::kRoundRobin:
+      return round_robin_rounds(n);
+    case Ordering::kOddEven:
+      return odd_even_rounds(n);
   }
   throw Error("unknown ordering");
+}
+
+std::vector<Pair> sweep_pairs(Ordering ordering, std::size_t n) {
+  if (ordering == Ordering::kRowCyclic) return row_cyclic_sweep(n);
+  std::vector<Pair> flat;
+  for (const auto& round : sweep_rounds(ordering, n))
+    flat.insert(flat.end(), round.begin(), round.end());
+  return flat;
 }
 
 std::vector<std::vector<Pair>> chunk_groups(const std::vector<Pair>& round,

@@ -36,6 +36,11 @@ std::vector<std::vector<Pair>> round_robin_rounds(std::size_t n);
 /// it is a neighbor-exchange scheme, listed for the convergence ablation.
 std::vector<std::vector<Pair>> odd_even_rounds(std::size_t n);
 
+/// One sweep as rounds of disjoint pairs: the round-robin and odd-even
+/// rounds as above, and one single-pair round per pair for row-cyclic
+/// (its consecutive pairs share a column, so none can run together).
+std::vector<std::vector<Pair>> sweep_rounds(Ordering ordering, std::size_t n);
+
 /// Flattened sweep for the given ordering (rounds concatenated in order).
 std::vector<Pair> sweep_pairs(Ordering ordering, std::size_t n);
 

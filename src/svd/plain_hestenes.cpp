@@ -4,22 +4,21 @@
 
 namespace hjsvd {
 
-template SvdResult plain_hestenes_svd_t<fp::NativeOps>(const Matrix&,
-                                                       const HestenesConfig&,
-                                                       HestenesStats*,
-                                                       fp::NativeOps);
+template SvdResult plain_hestenes_svd_t<fp::NativeOps>(
+    const Matrix&, const HestenesConfig&, HestenesStats*, fp::NativeOps,
+    WorkStealingPool*);
 template SvdResult plain_hestenes_svd_t<fp::SoftOps>(const Matrix&,
                                                      const HestenesConfig&,
                                                      HestenesStats*,
-                                                     fp::SoftOps);
-template SvdResult plain_hestenes_svd_t<fp::CountingOps>(const Matrix&,
-                                                         const HestenesConfig&,
-                                                         HestenesStats*,
-                                                         fp::CountingOps);
+                                                     fp::SoftOps,
+                                                     WorkStealingPool*);
+template SvdResult plain_hestenes_svd_t<fp::CountingOps>(
+    const Matrix&, const HestenesConfig&, HestenesStats*, fp::CountingOps,
+    WorkStealingPool*);
 
 SvdResult plain_hestenes_svd(const Matrix& a, const HestenesConfig& cfg,
-                             HestenesStats* stats) {
-  return plain_hestenes_svd_t(a, cfg, stats, fp::NativeOps{});
+                             HestenesStats* stats, WorkStealingPool* pool) {
+  return plain_hestenes_svd_t(a, cfg, stats, fp::NativeOps{}, pool);
 }
 
 SvdResult plain_hestenes_svd_counting(const Matrix& a,

@@ -1,7 +1,7 @@
 // Template implementation of the plain (recomputing) Hestenes-Jacobi SVD.
 // Included by plain_hestenes.cpp and fixed_hestenes.cpp for their
-// respective explicit instantiations, and by parallel_sweep.cpp for the
-// pair-parallel engine's shared finalization.
+// respective explicit instantiations, and by block_hestenes.cpp for the
+// shared column finalization.
 #pragma once
 
 #include "svd/plain_hestenes.hpp"
@@ -9,11 +9,49 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/pool.hpp"
 #include "linalg/kernels.hpp"
 #include "svd/hestenes_impl.hpp"  // rotate_columns, dot_ops, gram_upper_ops
 
 namespace hjsvd {
 namespace detail {
+
+/// What one pair of a round leaves for the in-order fold after the round:
+/// its pre-rotation norms and covariance (the numerics-probe sample) and
+/// whether it rotated.
+struct PlainPairSlot {
+  double norm_ii = 0.0;
+  double norm_jj = 0.0;
+  double cov = 0.0;
+  bool rotated = false;
+};
+
+/// Squared norms of columns x and y and their covariance, in one pass over
+/// the columns.  Each sum is strict left-to-right, so the three are bitwise
+/// three dot_ops calls; carrying them together keeps the accumulators in
+/// registers and overlaps their add latencies.  The relaxed SIMD tier takes
+/// its lane-split kernel instead.
+template <class Ops>
+void pair_dots(std::span<const double> x, std::span<const double> y,
+               const HestenesConfig& cfg, Ops ops, PlainPairSlot& out) {
+  if constexpr (std::is_same_v<Ops, fp::NativeOps>) {
+    if (cfg.simd_relaxed) {
+      out.norm_ii = dot_relaxed(x, x);
+      out.norm_jj = dot_relaxed(y, y);
+      out.cov = dot_relaxed(x, y);
+      return;
+    }
+  }
+  double xx = 0.0, yy = 0.0, xy = 0.0;
+  for (std::size_t r = 0; r < x.size(); ++r) {
+    xx = ops.add(xx, ops.mul(x[r], x[r]));
+    yy = ops.add(yy, ops.mul(y[r], y[r]));
+    xy = ops.add(xy, ops.mul(x[r], y[r]));
+  }
+  out.norm_ii = xx;
+  out.norm_jj = yy;
+  out.cov = xy;
+}
 
 /// Shared finalization of the column-rotating paths: singular values are the
 /// 2-norms of the converged B = U * Sigma (in `r`), sorted descending; U is
@@ -21,9 +59,8 @@ namespace detail {
 /// null space (orthonormalize_columns, shared with the Gram path), and V is
 /// gathered from the accumulated rotation product.
 template <class Ops>
-void finalize_column_result(const Matrix& r, Matrix& v,
-                            const HestenesConfig& cfg, SvdResult& result,
-                            Ops ops) {
+void finalize_column_result(const Matrix& r, Matrix& v, bool compute_u,
+                            bool compute_v, SvdResult& result, Ops ops) {
   const std::size_t m = r.rows();
   const std::size_t n = r.cols();
   const std::size_t k = std::min(m, n);
@@ -49,7 +86,7 @@ void finalize_column_result(const Matrix& r, Matrix& v,
   const double sigma_max =
       result.singular_values.empty() ? 0.0 : result.singular_values[0];
   const double cutoff = sigma_max * static_cast<double>(std::max(m, n)) * 1e-15;
-  if (cfg.compute_u) {
+  if (compute_u) {
     result.u = Matrix(m, k);
     for (std::size_t t = 0; t < k; ++t) {
       const double sv = norms[order[t]];
@@ -64,7 +101,7 @@ void finalize_column_result(const Matrix& r, Matrix& v,
     // orthogonal to eps * kappa(A).
     orthonormalize_columns(result.u, ops);
   }
-  if (cfg.compute_v) {
+  if (compute_v) {
     Matrix v_sorted(n, k);
     for (std::size_t t = 0; t < k; ++t) {
       const auto src = v.col(order[t]);
@@ -79,19 +116,26 @@ void finalize_column_result(const Matrix& r, Matrix& v,
 
 template <class Ops>
 SvdResult plain_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
-                               HestenesStats* stats, Ops ops) {
+                               HestenesStats* stats, Ops ops,
+                               WorkStealingPool* pool) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   HJSVD_ENSURE(m > 0 && n > 0, "matrix must be non-empty");
   HJSVD_ENSURE(cfg.max_sweeps > 0, "need at least one sweep");
   HJSVD_ENSURE(all_finite(a), "input matrix must be finite (no NaN/inf)");
+  // The counting and fixed-point policies update shared tallies from every
+  // operation, so only the stateless host FPU may run pairs concurrently.
+  if constexpr (!std::is_same_v<Ops, fp::NativeOps>)
+    HJSVD_ENSURE(pool == nullptr,
+                 "only the host-FPU plain engine runs rounds on a pool");
 
   Matrix r = a;  // columns converge to B = U * Sigma
   const bool need_v = cfg.compute_v;
   Matrix v;
   if (need_v) v = Matrix::identity(n);
 
-  const auto pairs = sweep_pairs(cfg.ordering, n);
+  const auto rounds = sweep_rounds(cfg.ordering, n);
+  std::vector<detail::PlainPairSlot> slots;
   SvdResult result;
   if (stats != nullptr) *stats = HestenesStats{};
   auto* metrics = obs::active(cfg.obs.metrics);
@@ -104,32 +148,39 @@ SvdResult plain_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
   std::uint64_t pair_seq = 0;  // numerics-probe sampling index
   for (std::size_t sweep = 0; sweep < cfg.max_sweeps; ++sweep) {
     std::uint64_t rotations = 0, skipped = 0;
-    for (const auto& [i, j] : pairs) {
+    for (const auto& round : rounds) {
+      slots.assign(round.size(), detail::PlainPairSlot{});
       // Recompute norms and covariance from the column data every time —
       // the "duplicated computations" the modified algorithm eliminates.
-      const double norm_ii =
-          detail::dot_maybe_relaxed<Ops>(r.col(i), r.col(i), cfg, ops);
-      const double norm_jj =
-          detail::dot_maybe_relaxed<Ops>(r.col(j), r.col(j), cfg, ops);
-      const double cov =
-          detail::dot_maybe_relaxed<Ops>(r.col(i), r.col(j), cfg, ops);
-      if (numerics != nullptr && numerics->want(pair_seq))
-        numerics->observe_pair(norm_ii, norm_jj, cov);
-      ++pair_seq;
-      if (detail::below_threshold(cov, norm_ii, norm_jj,
-                                  cfg.rotation_threshold)) {
-        ++skipped;
-        continue;
+      // The pairs of a round touch disjoint columns and write only their
+      // own slot, so they may run in any order or concurrently.
+      const auto orthogonalize = [&](std::size_t p) {
+        const auto [i, j] = round[p];
+        detail::PlainPairSlot& slot = slots[p];
+        detail::pair_dots<Ops>(r.col(i), r.col(j), cfg, ops, slot);
+        if (detail::below_threshold(slot.cov, slot.norm_ii, slot.norm_jj,
+                                    cfg.rotation_threshold))
+          return;
+        const RotationParams rp = compute_rotation(
+            cfg.formula, slot.norm_jj, slot.norm_ii, slot.cov, ops);
+        if (!rp.rotate) return;
+        detail::rotate_columns(r, i, j, rp.cos, rp.sin, ops);
+        if (need_v) detail::rotate_columns(v, i, j, rp.cos, rp.sin, ops);
+        slot.rotated = true;
+      };
+      if (pool != nullptr) {
+        pool->fork_join(round.size(), orthogonalize);
+      } else {
+        for (std::size_t p = 0; p < round.size(); ++p) orthogonalize(p);
       }
-      const RotationParams p =
-          compute_rotation(cfg.formula, norm_jj, norm_ii, cov, ops);
-      if (!p.rotate) {
-        ++skipped;
-        continue;
+      // Fold in pair order: stats and probe samples do not depend on the
+      // executor.
+      for (const auto& slot : slots) {
+        if (numerics != nullptr && numerics->want(pair_seq))
+          numerics->observe_pair(slot.norm_ii, slot.norm_jj, slot.cov);
+        ++pair_seq;
+        ++(slot.rotated ? rotations : skipped);
       }
-      detail::rotate_columns(r, i, j, p.cos, p.sin, ops);
-      if (need_v) detail::rotate_columns(v, i, j, p.cos, p.sin, ops);
-      ++rotations;
     }
     ++sweeps_done;
     total_rotations += rotations;
@@ -161,7 +212,8 @@ SvdResult plain_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
   detail::record_run_metrics(metrics, m, n, sweeps_done, total_rotations,
                              total_skipped, result.converged);
 
-  detail::finalize_column_result(r, v, cfg, result, ops);
+  detail::finalize_column_result(r, v, cfg.compute_u, cfg.compute_v, result,
+                                 ops);
   if (numerics != nullptr) numerics->observe_finalize(a, result);
   return result;
 }

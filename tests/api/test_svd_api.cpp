@@ -5,8 +5,10 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/dispatch.hpp"
 #include "common/error.hpp"
 #include "fp/softfloat.hpp"
 #include "common/rng.hpp"
@@ -44,8 +46,6 @@ TEST_P(AllMethods, VectorsReconstructWhenRequested) {
 INSTANTIATE_TEST_SUITE_P(
     Methods, AllMethods,
     ::testing::Values(SvdMethod::kModifiedHestenes, SvdMethod::kPlainHestenes,
-                      SvdMethod::kParallelHestenes,
-                      SvdMethod::kParallelModifiedHestenes,
                       SvdMethod::kTwoSidedJacobi, SvdMethod::kGolubKahan),
     [](const auto& param_info) {
       std::string name = svd_method_name(param_info.param);
@@ -73,32 +73,95 @@ TEST(SvdApi, MethodNamesAreDistinct) {
                svd_method_name(SvdMethod::kPlainHestenes));
   EXPECT_STRNE(svd_method_name(SvdMethod::kGolubKahan),
                svd_method_name(SvdMethod::kTwoSidedJacobi));
-  EXPECT_STRNE(svd_method_name(SvdMethod::kParallelHestenes),
-               svd_method_name(SvdMethod::kParallelModifiedHestenes));
+  EXPECT_STRNE(svd_method_name(SvdMethod::kModifiedHestenes),
+               svd_method_name(SvdMethod::kMixedModifiedHestenes));
+}
+
+TEST(SvdApi, MethodTokensAndAliasesMap) {
+  const std::pair<const char*, SvdMethod> documented[] = {
+      {"hestenes", SvdMethod::kModifiedHestenes},
+      {"modified", SvdMethod::kModifiedHestenes},
+      {"parallel-modified", SvdMethod::kModifiedHestenes},
+      {"block", SvdMethod::kModifiedHestenes},
+      {"plain", SvdMethod::kPlainHestenes},
+      {"parallel", SvdMethod::kPlainHestenes},
+      {"mixed-modified", SvdMethod::kMixedModifiedHestenes},
+      {"mixed", SvdMethod::kMixedModifiedHestenes},
+      {"two-sided", SvdMethod::kTwoSidedJacobi},
+      {"twosided", SvdMethod::kTwoSidedJacobi},
+      {"golub-kahan", SvdMethod::kGolubKahan},
+      {"gk", SvdMethod::kGolubKahan},
+  };
+  for (const auto& [token, want] : documented) {
+    SvdMethod got = SvdMethod::kGolubKahan;
+    ASSERT_TRUE(svd_method_from_token(token, &got)) << token;
+    EXPECT_EQ(got, want) << token;
+  }
+  // Every canonical token round-trips.
+  for (const SvdMethod method :
+       {SvdMethod::kModifiedHestenes, SvdMethod::kPlainHestenes,
+        SvdMethod::kMixedModifiedHestenes, SvdMethod::kTwoSidedJacobi,
+        SvdMethod::kGolubKahan}) {
+    SvdMethod got = SvdMethod::kGolubKahan;
+    ASSERT_TRUE(svd_method_from_token(svd_method_token(method), &got));
+    EXPECT_EQ(got, method) << svd_method_token(method);
+  }
+  for (const char* unknown :
+       {"pipelined", "pipelined-modified", "", "Hestenes", "blocked"}) {
+    SvdMethod got = SvdMethod::kGolubKahan;
+    EXPECT_FALSE(svd_method_from_token(unknown, &got)) << unknown;
+    EXPECT_EQ(got, SvdMethod::kGolubKahan) << unknown;
+  }
 }
 
 TEST(SvdApi, PooledParallelMethodMatchesSequentialBitForBit) {
-  // threads > 1 runs the blocked engine on an ephemeral engine's pool;
-  // threads = 1 runs its loops inline.  Both match the sequential method.
+  // threads > 1 runs the plain engine's rounds on an ephemeral engine's
+  // pool once they carry enough work (the 600x56 input); smaller inputs
+  // and threads = 1 run them inline.  Every path gives the same bits.
   Rng rng(98);
-  const Matrix a = random_gaussian(17, 12, rng);
-  SvdOptions opt;
-  opt.compute_u = true;
-  opt.compute_v = true;
-  const SvdResult seq = svd(a, opt);
-  opt.method = SvdMethod::kParallelModifiedHestenes;
-  for (std::size_t threads : {0u, 1u, 2u, 4u}) {
-    opt.threads = threads;
-    const SvdResult r = svd(a, opt);
-    ASSERT_EQ(r.singular_values.size(), seq.singular_values.size());
-    for (std::size_t i = 0; i < seq.singular_values.size(); ++i)
-      EXPECT_EQ(fp::to_bits(r.singular_values[i]),
-                fp::to_bits(seq.singular_values[i]))
-          << "threads " << threads << " value " << i;
-    for (std::size_t i = 0; i < seq.u.data().size(); ++i)
-      EXPECT_EQ(fp::to_bits(r.u.data()[i]), fp::to_bits(seq.u.data()[i]))
-          << "threads " << threads << " U entry " << i;
+  for (const Matrix& a : {random_gaussian(17, 12, rng),
+                          random_gaussian(600, 56, rng)}) {
+    const std::string shape =
+        std::to_string(a.rows()) + "x" + std::to_string(a.cols());
+    SvdOptions opt;
+    opt.method = SvdMethod::kPlainHestenes;
+    opt.compute_u = true;
+    opt.compute_v = true;
+    opt.threads = 1;
+    const SvdResult seq = svd(a, opt);
+    for (std::size_t threads : {0u, 2u, 4u}) {
+      opt.threads = threads;
+      const SvdResult r = svd(a, opt);
+      ASSERT_EQ(r.singular_values.size(), seq.singular_values.size());
+      for (std::size_t i = 0; i < seq.singular_values.size(); ++i)
+        EXPECT_EQ(fp::to_bits(r.singular_values[i]),
+                  fp::to_bits(seq.singular_values[i]))
+            << shape << " threads " << threads << " value " << i;
+      for (std::size_t i = 0; i < seq.u.data().size(); ++i)
+        EXPECT_EQ(fp::to_bits(r.u.data()[i]), fp::to_bits(seq.u.data()[i]))
+            << shape << " threads " << threads << " U entry " << i;
+      for (std::size_t i = 0; i < seq.v.data().size(); ++i)
+        EXPECT_EQ(fp::to_bits(r.v.data()[i]), fp::to_bits(seq.v.data()[i]))
+            << shape << " threads " << threads << " V entry " << i;
+    }
   }
+}
+
+TEST(SvdApi, PlainRoundsPoolOnlyAboveTheWorkCutoff) {
+  // rows x floor(cols / 2) row-pairs per round decide; other methods never
+  // take a pool.
+  const auto pooled = [](SvdMethod method, std::size_t m, std::size_t n) {
+    return detail::runs_on_pool(method, Matrix(m, n));
+  };
+  EXPECT_FALSE(pooled(SvdMethod::kPlainHestenes, 64, 64));
+  EXPECT_FALSE(pooled(SvdMethod::kPlainHestenes, 128, 128));
+  EXPECT_FALSE(pooled(SvdMethod::kPlainHestenes, 181, 181));
+  EXPECT_TRUE(pooled(SvdMethod::kPlainHestenes, 182, 182));
+  EXPECT_TRUE(pooled(SvdMethod::kPlainHestenes, 256, 256));
+  EXPECT_TRUE(pooled(SvdMethod::kPlainHestenes, 512, 64));
+  EXPECT_FALSE(pooled(SvdMethod::kPlainHestenes, 100000, 1));
+  EXPECT_FALSE(pooled(SvdMethod::kModifiedHestenes, 256, 256));
+  EXPECT_FALSE(pooled(SvdMethod::kMixedModifiedHestenes, 256, 256));
 }
 
 std::vector<Matrix> make_batch(Rng& rng) {
@@ -162,10 +225,12 @@ TEST(SvdBatch, ValidatesTheWholeBatchUpFront) {
 }
 
 TEST(SvdBatch, SelectsParallelModifiedMethod) {
+  // The retired engine's token selects the modified engine, whose bits it
+  // always returned.
   Rng rng(99);
   const auto batch = make_batch(rng);
   SvdOptions opt;
-  opt.method = SvdMethod::kParallelModifiedHestenes;
+  ASSERT_TRUE(svd_method_from_token("parallel-modified", &opt.method));
   opt.compute_v = true;
   const auto results = svd_batch(batch, opt, /*threads=*/3);
   ASSERT_EQ(results.size(), batch.size());

@@ -62,8 +62,6 @@ TEST(SvdBatchScheduler, NestedParallelBitIdentityMatrix) {
   const SvdMethod methods[] = {
       SvdMethod::kModifiedHestenes,
       SvdMethod::kPlainHestenes,
-      SvdMethod::kParallelHestenes,
-      SvdMethod::kParallelModifiedHestenes,
   };
   for (SvdMethod method : methods) {
     SvdOptions opt;

@@ -480,8 +480,6 @@ TEST(SimdGramRelaxed, MatchesPerEntryDotRelaxed) {
 const SvdMethod kHestenesMethods[] = {
     SvdMethod::kModifiedHestenes,
     SvdMethod::kPlainHestenes,
-    SvdMethod::kParallelHestenes,
-    SvdMethod::kParallelModifiedHestenes,
 };
 
 TEST(SimdEngine, ResultsBitIdenticalAcrossLevelsAndThreads) {

@@ -25,7 +25,6 @@
 #include "linalg/generate.hpp"
 #include "svd/block_hestenes.hpp"
 #include "svd/hestenes.hpp"
-#include "svd/parallel_sweep.hpp"
 #include "svd/plain_hestenes.hpp"
 
 namespace hjsvd {
@@ -159,16 +158,15 @@ Matrix test_matrix(std::size_t m, std::size_t n, std::uint64_t seed = 7) {
   return random_gaussian(m, n, rng);
 }
 
-/// Runs the blocked engine on a pool with both sinks attached.
+/// Runs the modified engine with both sinks attached.
 SvdResult traced_run(const Matrix& a, obs::TraceRecorder* trace,
-                     obs::MetricsRegistry* metrics, std::size_t threads = 2) {
+                     obs::MetricsRegistry* metrics) {
   HestenesConfig cfg;
   cfg.compute_u = true;
   cfg.compute_v = true;
   cfg.obs.trace = trace;
   cfg.obs.metrics = metrics;
-  WorkStealingPool pool(threads);
-  return parallel_modified_hestenes_svd(a, cfg, {.pool = &pool});
+  return modified_hestenes_svd(a, cfg);
 }
 
 // --- JSON validity ---------------------------------------------------------
@@ -221,8 +219,6 @@ TEST(ObsTrace, RequiredSpanNamesPresent) {
   for (const auto& e : trace.snapshot()) ++names[e.name];
   EXPECT_GT(names["gram"], 0);
   EXPECT_GT(names["sweep"], 0);
-  EXPECT_GT(names["generate"], 0);
-  EXPECT_GT(names["update"], 0);
   EXPECT_GT(names["finalize"], 0);
 }
 
@@ -311,8 +307,13 @@ TEST(ObsDeterminism, CountersIdenticalAcrossThreadCounts) {
   const Matrix a = test_matrix(40, 28);
   std::vector<obs::MetricsRegistry> regs(3);
   const std::size_t threads[] = {1, 2, 4};
-  for (std::size_t i = 0; i < 3; ++i)
-    traced_run(a, nullptr, &regs[i], threads[i]);
+  // The plain engine runs its rounds on pools of each size.
+  for (std::size_t i = 0; i < 3; ++i) {
+    HestenesConfig cfg;
+    cfg.obs.metrics = &regs[i];
+    WorkStealingPool pool(threads[i]);
+    plain_hestenes_svd(a, cfg, nullptr, &pool);
+  }
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_EQ(regs[0].counter("svd.rotations_applied"),
               regs[i].counter("svd.rotations_applied"));
@@ -339,7 +340,7 @@ TEST(ObsDeterminism, CountersIdenticalAcrossThreadCounts) {
 
 TEST(ObsDeterminism, ResultsByteIdenticalWithAndWithoutSinks) {
   const Matrix a = test_matrix(32, 24);
-  // Sequential and blocked engines, plus the api front door.
+  // The modified and pooled plain engines, plus the api front door.
   const auto expect_same = [](const SvdResult& plainr, const SvdResult& obsd) {
     ASSERT_EQ(plainr.singular_values.size(), obsd.singular_values.size());
     for (std::size_t i = 0; i < plainr.singular_values.size(); ++i)
@@ -367,13 +368,14 @@ TEST(ObsDeterminism, ResultsByteIdenticalWithAndWithoutSinks) {
   with.obs.metrics = &metrics;
 
   expect_same(modified_hestenes_svd(a, cfg), modified_hestenes_svd(a, with));
-  expect_same(parallel_modified_hestenes_svd(a, cfg),
-              parallel_modified_hestenes_svd(a, with));
+  WorkStealingPool pool(2);
+  expect_same(plain_hestenes_svd(a, cfg, nullptr, &pool),
+              plain_hestenes_svd(a, with, nullptr, &pool));
 
   SvdOptions opt;
   opt.compute_u = true;
   opt.compute_v = true;
-  opt.method = SvdMethod::kParallelModifiedHestenes;
+  opt.method = SvdMethod::kPlainHestenes;
   opt.threads = 2;
   SvdOptions with_opt = opt;
   with_opt.trace = &trace;
@@ -412,11 +414,10 @@ TEST(ObsMetrics, UnitAndTypeMismatchThrows) {
 
 TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
   const Matrix a = test_matrix(24, 16);
-  // Engines that share the round-robin rotation order and arithmetic are
-  // bitwise identical; every engine must at least record the same series
-  // names with one point per sweep.
+  // The plain engine gives the same bits inline and on a pool; every engine
+  // must at least record the same series names with one point per sweep.
   HestenesConfig cfg;
-  obs::MetricsRegistry seq, plain, par_plain, blocked, block_cfg_reg;
+  obs::MetricsRegistry seq, plain, par_plain, block_cfg_reg;
   {
     HestenesConfig c = cfg;
     c.obs.metrics = &seq;
@@ -430,19 +431,15 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
   {
     HestenesConfig c = cfg;
     c.obs.metrics = &par_plain;
-    parallel_plain_hestenes_svd(a, c, {});
-  }
-  {
-    HestenesConfig c = cfg;
-    c.obs.metrics = &blocked;
-    parallel_modified_hestenes_svd(a, c);
+    WorkStealingPool pool(2);
+    plain_hestenes_svd(a, c, nullptr, &pool);
   }
   {
     BlockHestenesConfig c;
     c.obs.metrics = &block_cfg_reg;
     block_hestenes_svd(a, c);
   }
-  const obs::MetricsRegistry* regs[] = {&seq, &plain, &par_plain, &blocked,
+  const obs::MetricsRegistry* regs[] = {&seq, &plain, &par_plain,
                                         &block_cfg_reg};
   for (const auto* reg : regs) {
     for (const char* series : {"svd.sweep.offdiag_frobenius",
@@ -459,9 +456,9 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
     EXPECT_EQ(reg->gauge("svd.cols").value(), 16.0);
   }
   // The bitwise-identical pair agrees point-for-point on the trajectory.
-  const auto base = seq.series("svd.sweep.offdiag_frobenius");
+  const auto base = plain.series("svd.sweep.offdiag_frobenius");
   {
-    const auto other = blocked.series("svd.sweep.offdiag_frobenius");
+    const auto other = par_plain.series("svd.sweep.offdiag_frobenius");
     ASSERT_EQ(base.size(), other.size());
     for (std::size_t k = 0; k < base.size(); ++k)
       EXPECT_EQ(fp::to_bits(base[k].second), fp::to_bits(other[k].second));

@@ -57,6 +57,22 @@ TEST(BlockHestenes, VectorsReconstruct) {
   EXPECT_LT(reconstruction_error(a, r), 1e-10);
 }
 
+TEST(BlockHestenes, RankDeficientUIsOrthonormal) {
+  // Regression: the engine's own column extraction skipped the
+  // re-orthonormalization, so U came back with zero columns for the
+  // numerically-zero singular values (orthogonality error 1).
+  Rng rng(104);
+  const Matrix a = random_rank_deficient(26, 20, 9, rng);
+  BlockHestenesConfig cfg = tolerant(8);
+  cfg.compute_u = true;
+  cfg.compute_v = true;
+  const SvdResult r = block_hestenes_svd(a, cfg);
+  ASSERT_EQ(r.u.cols(), 20u);
+  EXPECT_LT(orthogonality_error(r.u), 1e-10);
+  EXPECT_LT(orthogonality_error(r.v), 1e-10);
+  EXPECT_LT(reconstruction_error(a, r), 1e-10);
+}
+
 TEST(BlockHestenes, ConvergenceTracked) {
   Rng rng(104);
   const Matrix a = random_gaussian(32, 32, rng);

@@ -1,5 +1,6 @@
 // Matrix zoo: ill-conditioned, graded and extreme-scale inputs through
-// every Gram-rotating engine (sequential, blocked, mixed precision), with relative singular-value error bounds.
+// every Gram-rotating engine (sequential, mixed precision), with relative
+// singular-value error bounds.
 //
 // The accuracy contract is the one for Jacobi applied to the explicitly
 // formed Gram matrix D = A^T A (the modified-Gram formulation all these
@@ -18,6 +19,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,9 +34,17 @@
 #include "obs/numerics.hpp"
 #include "svd/hestenes.hpp"
 #include "svd/mixed_hestenes.hpp"
-#include "svd/parallel_sweep.hpp"
 
 namespace hjsvd {
+
+// gtest prints test parameters into the ctest names.  Without a PrintTo it
+// dumps raw object bytes — for ZooCase including its name pointer, so the
+// names changed with every build.  ADL finds this one in the enum's
+// namespace, ZooCase's below in the unnamed namespace.
+void PrintTo(SvdMethod method, std::ostream* os) {
+  *os << svd_method_token(method);
+}
+
 namespace {
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
@@ -75,9 +85,10 @@ const ZooCase kZoo[] = {
     {"cond1e15_down2p200", 1e15, 0x1p-200},
 };
 
+void PrintTo(const ZooCase& zoo, std::ostream* os) { *os << zoo.name; }
+
 const SvdMethod kEngines[] = {
     SvdMethod::kModifiedHestenes,
-    SvdMethod::kParallelModifiedHestenes,
     SvdMethod::kMixedModifiedHestenes,
 };
 
@@ -118,7 +129,6 @@ std::string zoo_param_name(
   std::string engine;
   switch (method) {
     case SvdMethod::kModifiedHestenes: engine = "sequential"; break;
-    case SvdMethod::kParallelModifiedHestenes: engine = "blocked"; break;
     case SvdMethod::kMixedModifiedHestenes: engine = "mixed"; break;
     default: engine = "other"; break;
   }
@@ -133,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, MatrixZoo,
 TEST(MatrixZoo, HilbertMatchesGolubKahanAcrossEngines) {
   // hilbert(12) has kappa ~ 1.7e16; the Gram formulation caps accuracy at
   // ~eps * sqrt(kappa) ~ 3e-8 relative to sigma_max (observed: ~4e-9,
-  // identical across all four engines).
+  // identical across the engines).
   const Matrix h = hilbert(12);
   GolubKahanConfig gk_cfg;
   const SvdResult ref = golub_kahan_svd(h, gk_cfg);
@@ -206,8 +216,6 @@ TEST(MatrixZoo, ScaledThresholdRunsConvergeInEveryEngine) {
   cfg.rotation_threshold = 1e-12;
 
   EXPECT_TRUE(modified_hestenes_svd(a, cfg).converged) << "sequential";
-  EXPECT_TRUE(parallel_modified_hestenes_svd(a, cfg, {}).converged)
-      << "blocked";
   MixedHestenesConfig mixed;
   mixed.base = cfg;
   EXPECT_TRUE(mixed_modified_hestenes_svd(a, mixed).converged) << "mixed";
@@ -342,8 +350,8 @@ TEST(MatrixZooProbes, ProbesNeverPerturbAnyEngineAtAnyThreadCount) {
   const Matrix a = random_conditioned(40, 28, 1e10, rng);
   // The full Hestenes family, not just the modified-Gram engines of kEngines.
   const SvdMethod probe_engines[] = {
-      SvdMethod::kModifiedHestenes,  SvdMethod::kPlainHestenes,
-      SvdMethod::kParallelHestenes,  SvdMethod::kParallelModifiedHestenes,
+      SvdMethod::kModifiedHestenes,
+      SvdMethod::kPlainHestenes,
       SvdMethod::kMixedModifiedHestenes,
   };
   for (const SvdMethod method : probe_engines) {
@@ -366,15 +374,11 @@ TEST(MatrixZooProbes, ProbesNeverPerturbAnyEngineAtAnyThreadCount) {
       EXPECT_TRUE(results_bit_identical(plain, probed))
           << svd_method_name(method) << " threads=" << threads;
       // With HJSVD_OBS=OFF the probe never fires — bit-identity above is the
-      // whole (compiled-out) contract.  When compiled in: the engines whose
-      // per-pair norms live inside a parallel region feed sweep/finalize
-      // only; every other Hestenes engine must actually have sampled pairs.
+      // whole (compiled-out) contract.  When compiled in, every engine must
+      // actually have sampled pairs, the plain engine on a pool included.
       if (obs::kEnabled) {
-        if (method != SvdMethod::kParallelModifiedHestenes &&
-            method != SvdMethod::kParallelHestenes) {
-          EXPECT_GT(probe.samples(), 0u)
-              << svd_method_name(method) << " threads=" << threads;
-        }
+        EXPECT_GT(probe.samples(), 0u)
+            << svd_method_name(method) << " threads=" << threads;
         ASSERT_GE(probe.backward_error(), 0.0) << svd_method_name(method);
       }
     }

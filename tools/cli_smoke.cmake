@@ -34,18 +34,40 @@ if(NOT v1 STREQUAL v2)
   endif()
 endif()
 
-# The blocked engine on a pool must agree with the sequential method
-# bit-for-bit (same printed digits) at a non-default thread count.
+# The plain engine's rounds on a pool must print the digits of its inline
+# run (--threads 1), and the parallel-modified alias those of hestenes.
+# The pool check needs rounds of at least 16384 row-pairs (rows x
+# floor(cols/2)); smaller inputs run inline at any --threads.
 execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method parallel-modified
-          --threads 3 --values 3
-  RESULT_VARIABLE rc3 OUTPUT_VARIABLE out3 ERROR_VARIABLE err3)
-if(NOT rc3 EQUAL 0)
-  message(FATAL_ERROR "parallel-modified decompose failed: ${out3}${err3}")
+  COMMAND ${CLI} --generate 400x82 --seed 11 --output ${WORKDIR}/pooled.mtx
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate 400x82 failed: ${out}${err}")
 endif()
-string(REGEX MATCH "sigma\\[0\\] = ([0-9.e+-]+)" m3 "${out3}")
-if(NOT CMAKE_MATCH_1 STREQUAL v1)
-  message(FATAL_ERROR "parallel-modified sigma differs: ${CMAKE_MATCH_1} vs ${v1}")
+function(sigma_lines out_var input)
+  set(args ${ARGN})
+  execute_process(
+    COMMAND ${CLI} --input ${WORKDIR}/${input} ${args} --values 3
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "'${args}' decompose failed: ${out}${err}")
+  endif()
+  string(REGEX MATCHALL "sigma\\[[0-9]+\\] = [0-9.e+-]+" lines "${out}")
+  if(NOT lines)
+    message(FATAL_ERROR "'${args}' printed no sigma: ${out}")
+  endif()
+  set(${out_var} "${lines}" PARENT_SCOPE)
+endfunction()
+sigma_lines(plain_t1 pooled.mtx --method plain --threads 1)
+sigma_lines(plain_t3 pooled.mtx --method plain --threads 3)
+if(NOT plain_t3 STREQUAL plain_t1)
+  message(FATAL_ERROR "plain on 3 threads differs: ${plain_t3} vs ${plain_t1}")
+endif()
+sigma_lines(hestenes_lines smoke.mtx --method hestenes)
+sigma_lines(alias_lines smoke.mtx --method parallel-modified)
+if(NOT alias_lines STREQUAL hestenes_lines)
+  message(FATAL_ERROR "parallel-modified differs from hestenes: "
+                      "${alias_lines} vs ${hestenes_lines}")
 endif()
 
 # The mixed-precision engine takes a different rotation path (float opening
@@ -74,7 +96,7 @@ endif()
 # Observability outputs: the run must succeed, announce both files, and
 # leave non-empty JSON documents with the right schema tags behind.
 execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method parallel-modified
+  COMMAND ${CLI} --input ${WORKDIR}/smoke.mtx --method hestenes
           --trace-out ${WORKDIR}/smoke_trace.json
           --metrics-out ${WORKDIR}/smoke_metrics.json
   RESULT_VARIABLE rc4 OUTPUT_VARIABLE out4 ERROR_VARIABLE err4)

@@ -1,5 +1,5 @@
-# Report smoke test: record a blocked-engine run on a pool (with the
-# accelerator sim), run hjsvd_report over the artifacts, and exercise the
+# Report smoke test: record a modified-engine run (with the accelerator
+# sim), run hjsvd_report over the artifacts, and exercise the
 # --compare exit-code contract — 0 on identical runs, 3 on an injected
 # regression, 2 on malformed or wrong-schema inputs.
 execute_process(
@@ -11,8 +11,8 @@ endif()
 
 # Record + analyze: table on stdout, hjsvd.report.v2 document on disk.
 execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/report.mtx --method parallel-modified
-          --threads 2 --fpga-sim true
+  COMMAND ${CLI} --input ${WORKDIR}/report.mtx --method hestenes
+          --fpga-sim true
           --trace-out ${WORKDIR}/report_trace.json
           --metrics-out ${WORKDIR}/report_metrics.json
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
