@@ -55,8 +55,10 @@ int main(int argc, char** argv) {
                             : err < 0.1 ? "degraded"
                                         : "FAILED";
       t.add_row({std::to_string(scale),
-                 "Q" + std::to_string(fmt.integer_bits) + "." +
-                     std::to_string(fmt.frac_bits),
+                 std::string("Q")
+                     .append(std::to_string(fmt.integer_bits))
+                     .append(".")
+                     .append(std::to_string(fmt.frac_bits)),
                  format_sci(err, 2), std::to_string(stats.saturations),
                  std::to_string(stats.underflows), verdict});
     }

@@ -103,16 +103,6 @@ double squared_norm_relaxed(std::span<const double> x) {
   return simd::squared_norm_relaxed(x);
 }
 
-void gram_upper_relaxed_into(Matrix& d, const Matrix& a) {
-  const std::size_t n = a.cols();
-  HJSVD_ENSURE(d.rows() == n && d.cols() == n,
-               "gram_upper_relaxed_into output has the wrong shape");
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto ci = a.col(i);
-    for (std::size_t j = i; j < n; ++j) d(i, j) = dot_relaxed(ci, a.col(j));
-  }
-}
-
 Matrix gram_upper_relaxed(const Matrix& a) {
   const std::size_t n = a.cols();
   Matrix d(n, n);
@@ -143,38 +133,6 @@ std::vector<double> squared_col_norms(const Matrix& a) {
   for (std::size_t j = 0; j < a.cols(); ++j)
     norms[j] = squared_norm(a.col(j));
   return norms;
-}
-
-double mean_abs_offdiag(const Matrix& d) {
-  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
-  const std::size_t n = d.cols();
-  if (n < 2) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) sum += std::abs(d(i, j));
-  return sum / (static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-double offdiag_frobenius(const Matrix& d) {
-  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
-  const std::size_t n = d.cols();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) sum += d(i, j) * d(i, j);
-  return std::sqrt(2.0 * sum);
-}
-
-double max_relative_offdiag(const Matrix& d) {
-  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
-  const std::size_t n = d.cols();
-  double max_diag = 0.0, max_off = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_diag = std::max(max_diag, std::abs(d(i, i)));
-    for (std::size_t j = i + 1; j < n; ++j)
-      max_off = std::max(max_off, std::abs(d(i, j)));
-  }
-  if (max_diag == 0.0) return max_off == 0.0 ? 0.0 : INFINITY;
-  return max_off / max_diag;
 }
 
 }  // namespace hjsvd

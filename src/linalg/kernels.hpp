@@ -4,7 +4,10 @@
 // everything else is plain scalar code.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -68,11 +71,20 @@ double dot_relaxed(std::span<const double> x, std::span<const double> y);
 /// Relaxed-tier squared 2-norm (see dot_relaxed).
 double squared_norm_relaxed(std::span<const double> x);
 
-/// gram_upper_relaxed into a caller-provided n x n matrix whose strict
-/// lower triangle must already be zero (e.g. a Workspace-acquired buffer);
-/// only entries with row <= col are written.  Allocation-free and bitwise
-/// equal to gram_upper_relaxed(a).
-void gram_upper_relaxed_into(Matrix& d, const Matrix& a);
+/// gram_upper_relaxed into a caller-provided n x n matrix (a Matrix, or
+/// the engines' padded SquareView) whose strict lower triangle must already
+/// be zero (e.g. a Workspace-acquired buffer); only entries with row <= col
+/// are written.  Allocation-free and bitwise equal to gram_upper_relaxed(a).
+template <class Mat>
+void gram_upper_relaxed_into(Mat& d, const Matrix& a) {
+  const std::size_t n = a.cols();
+  HJSVD_ENSURE(d.rows() == n && d.cols() == n,
+               "gram_upper_relaxed_into output has the wrong shape");
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ci = a.col(i);
+    for (std::size_t j = i; j < n; ++j) d(i, j) = dot_relaxed(ci, a.col(j));
+  }
+}
 
 /// Upper-triangular Gram matrix built from dot_relaxed (the relaxed-tier
 /// replacement for gram_upper_ops<NativeOps> with chunk_rows == 1).
@@ -93,19 +105,61 @@ Matrix gram_full(const Matrix& a);
 /// Squared 2-norm of every column.
 std::vector<double> squared_col_norms(const Matrix& a);
 
+// Convergence measures of an upper-triangular D, templated over its storage
+// (Matrix, or the engines' padded SquareView of double or float).  Every
+// sum and max accumulates in double, so the mixed engine's float phase gets
+// an exact measure of its binary32 D.
+
 /// Mean absolute value of the strictly-upper off-diagonal entries of a
 /// square matrix — the paper's convergence metric ("mean absolute deviations
 /// from zero of the covariances", Fig. 10/11).
-double mean_abs_offdiag(const Matrix& d);
+template <class Mat>
+double mean_abs_offdiag(const Mat& d) {
+  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
+  const std::size_t n = d.cols();
+  if (n < 2) return 0.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      sum += std::abs(static_cast<double>(d(i, j)));
+  return sum / (static_cast<double>(n) * (n - 1) / 2.0);
+}
 
 /// Max |off-diagonal| normalized by the largest diagonal entry; a scale-free
-/// convergence measure used for termination thresholds.
-double max_relative_offdiag(const Matrix& d);
+/// convergence measure used for termination thresholds.  Walks the upper
+/// triangle column by column, which is contiguous; a max does not depend on
+/// the visiting order, and std::max(acc, NaN) keeps acc.
+template <class Mat>
+double max_relative_offdiag(const Mat& d) {
+  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
+  const std::size_t n = d.cols();
+  double max_diag = 0.0, max_off = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto cj = d.col(j);
+    for (std::size_t i = 0; i < j; ++i)
+      max_off = std::max(max_off, std::abs(static_cast<double>(cj[i])));
+    max_diag = std::max(max_diag, std::abs(static_cast<double>(cj[j])));
+  }
+  if (max_diag == 0.0)
+    return max_off == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+  return max_off / max_diag;
+}
 
 /// Frobenius norm of the off-diagonal part of a symmetric matrix given by
 /// its upper triangle: sqrt(2 * sum_{i<j} d(i,j)^2).  The classical Jacobi
 /// convergence quantity off(D); reported per sweep by the observability
 /// layer (metric svd.sweep.offdiag_frobenius).
-double offdiag_frobenius(const Matrix& d);
+template <class Mat>
+double offdiag_frobenius(const Mat& d) {
+  HJSVD_ENSURE(d.rows() == d.cols(), "convergence metric needs square D");
+  const std::size_t n = d.cols();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double v = static_cast<double>(d(i, j));
+      sum += v * v;
+    }
+  return std::sqrt(2.0 * sum);
+}
 
 }  // namespace hjsvd

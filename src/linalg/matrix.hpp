@@ -145,4 +145,60 @@ class MatrixT {
   std::vector<T> data_;
 };
 
+/// Leading dimension of an n x n work matrix of T: the smallest ld >= n
+/// whose column stride in bytes is an odd multiple of 64 B (one cache
+/// line).  A row walk d(i, k), k = 0, 1, ... then visits every L1 set
+/// instead of the few a power-of-two stride maps onto (doubles:
+/// 256 -> 264, 248 -> 248, 64 -> 72; docs/ALGORITHM.md §4).
+template <class T>
+constexpr std::size_t padded_ld(std::size_t n) {
+  static_assert(64 % sizeof(T) == 0, "element size must divide a cache line");
+  constexpr std::size_t kLine = 64 / sizeof(T);
+  std::size_t lines = (n + kLine - 1) / kLine;
+  if (lines % 2 == 0) ++lines;
+  return lines * kLine;
+}
+
+/// Non-owning n x n column-major view with leading dimension ld >= n: entry
+/// (r, c) lives at data[c * ld + r].  Interface-compatible with Matrix and
+/// MatrixT for the templated readers of the covariance matrix D (rows/cols,
+/// operator(), contiguous col(j) of length n).  Like std::span, constness
+/// of the view does not propagate to the elements.
+template <class T>
+class SquareView {
+ public:
+  using value_type = T;
+
+  SquareView(T* data, std::size_t n, std::size_t ld)
+      : data_(data), n_(n), ld_(ld) {
+    HJSVD_ASSERT(ld >= n, "leading dimension below the column length");
+  }
+
+  std::size_t rows() const { return n_; }
+  std::size_t cols() const { return n_; }
+  std::size_t ld() const { return ld_; }
+
+  T& operator()(std::size_t r, std::size_t c) const {
+    HJSVD_ASSERT(r < n_ && c < n_, "matrix index out of range");
+    return data_[c * ld_ + r];
+  }
+
+  std::span<T> col(std::size_t j) const {
+    HJSVD_ASSERT(j < n_, "column index out of range");
+    return {data_ + j * ld_, n_};
+  }
+
+ private:
+  T* data_;
+  std::size_t n_;
+  std::size_t ld_;
+};
+
+/// The n x n view over the first n rows of an ld x n column-major block
+/// (Matrix or MatrixT), i.e. storage shaped padded_ld<T>(n) x n.
+template <class M>
+SquareView<typename M::value_type> square_view(M& storage) {
+  return {storage.data().data(), storage.cols(), storage.rows()};
+}
+
 }  // namespace hjsvd

@@ -24,14 +24,6 @@ std::string quoted(const std::string& s) {
 
 }  // namespace
 
-const char* build_git_sha() {
-#ifdef HJSVD_GIT_SHA
-  return HJSVD_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
-
 int host_hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -26,8 +26,9 @@ struct RunManifest {
   std::string config;  // one-line flag/config summary of the run
 };
 
-/// Git revision the build was configured from ("unknown" outside a git
-/// checkout — the define comes from CMake, not from runtime discovery).
+/// Git revision of the source tree at the last build ("unknown" outside a
+/// git checkout).  Defined in a source the build generates
+/// (src/obs/git_sha.cmake), not discovered at run time.
 const char* build_git_sha();
 
 /// Hardware threads of this host (std::thread::hardware_concurrency,

@@ -22,6 +22,12 @@ template Matrix gram_upper_ops<fp::SoftOps>(const Matrix&, fp::SoftOps,
                                             std::size_t);
 template Matrix gram_upper_ops<fp::CountingOps>(const Matrix&, fp::CountingOps,
                                                 std::size_t);
+// The allocation-free form on a caller's Matrix (the engines write D
+// through a SquareView instead).
+template void gram_upper_ops_into<Matrix, fp::NativeOps>(Matrix&,
+                                                         const Matrix&,
+                                                         fp::NativeOps,
+                                                         std::size_t);
 
 SvdResult modified_hestenes_svd(const Matrix& a, const HestenesConfig& cfg,
                                 HestenesStats* stats) {

@@ -132,12 +132,13 @@ SvdResult modified_hestenes_svd_counting(const Matrix& a,
 template <class Ops>
 Matrix gram_upper_ops(const Matrix& a, Ops ops, std::size_t chunk_rows = 1);
 
-/// gram_upper_ops into a caller-provided n x n matrix whose strict lower
-/// triangle must already be zero (a fresh or Workspace-acquired buffer);
-/// only entries with row <= col are written.  Allocation-free and bitwise
-/// equal to gram_upper_ops(a, ops, chunk_rows).
-template <class Ops>
-void gram_upper_ops_into(Matrix& d, const Matrix& a, Ops ops,
+/// gram_upper_ops into a caller-provided n x n matrix (a Matrix, or the
+/// engines' padded SquareView) whose strict lower triangle must already be
+/// zero (a fresh or Workspace-acquired buffer); only entries with
+/// row <= col are written.  Allocation-free and bitwise equal to
+/// gram_upper_ops(a, ops, chunk_rows).
+template <class Mat, class Ops>
+void gram_upper_ops_into(Mat& d, const Matrix& a, Ops ops,
                          std::size_t chunk_rows = 1);
 
 }  // namespace hjsvd

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "svd/hestenes_impl.hpp"
@@ -17,54 +16,13 @@
 namespace hjsvd {
 namespace detail {
 
-/// max |off-diag| / max diag of an upper-triangular D in any scalar type;
-/// accumulated in double so the float phase's convergence measure is exact.
-template <class Mat>
-double max_relative_offdiag_t(const Mat& d) {
-  const std::size_t n = d.cols();
-  double max_diag = 0.0, max_off = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_diag = std::max(max_diag, std::abs(static_cast<double>(d(i, i))));
-    for (std::size_t j = i + 1; j < n; ++j)
-      max_off = std::max(max_off, std::abs(static_cast<double>(d(i, j))));
-  }
-  if (max_diag == 0.0)
-    return max_off == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  return max_off / max_diag;
-}
-
-/// off(D) = sqrt(2 * sum_{i<j} d_ij^2) in double, any scalar storage.
-template <class Mat>
-double offdiag_frobenius_t(const Mat& d) {
-  const std::size_t n = d.cols();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = static_cast<double>(d(i, j));
-      sum += v * v;
-    }
-  return std::sqrt(2.0 * sum);
-}
-
-/// mean |off-diag| in double, any scalar storage (Figs. 10-11 metric).
-template <class Mat>
-double mean_abs_offdiag_t(const Mat& d) {
-  const std::size_t n = d.cols();
-  if (n < 2) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      sum += std::abs(static_cast<double>(d(i, j)));
-  return sum / (static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-/// Upper-triangular D = B^T B of a float matrix under the binary32 policy;
-/// strict left-to-right accumulation (the float analogue of
-/// gram_upper_ops with chunk_rows == 1).
+/// Upper-triangular D = B^T B of a float matrix under the binary32 policy,
+/// into a zeroed n x n view; strict left-to-right accumulation (the float
+/// analogue of gram_upper_ops_into with chunk_rows == 1).
 template <class OpsF>
-MatrixT<float> gram_upper_f32(const MatrixT<float>& b, OpsF ops) {
+void gram_upper_f32_into(SquareView<float> d, const MatrixT<float>& b,
+                         OpsF ops) {
   const std::size_t n = b.cols();
-  MatrixT<float> d(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto ci = b.col(i);
     for (std::size_t j = i; j < n; ++j) {
@@ -75,7 +33,6 @@ MatrixT<float> gram_upper_f32(const MatrixT<float>& b, OpsF ops) {
       d(i, j) = acc;
     }
   }
-  return d;
 }
 
 }  // namespace detail
@@ -145,11 +102,15 @@ SvdResult mixed_modified_hestenes_svd_t(const Matrix& a,
       gram_span = obs::Span(
           trace, tid, "svd", "gram32",
           obs::ArgsBuilder().add("rows", m).add("cols", n).str());
-    MatrixT<float> d32 = detail::gram_upper_f32(b32, opsf);
+    // D keeps the same padded layout as in the double engine; the float
+    // leading dimension follows the same 64 B rule.
+    MatrixT<float> d32_store(padded_ld<float>(n), n);
+    auto d32 = square_view(d32_store);
+    detail::gram_upper_f32_into(d32, b32, opsf);
     gram_span.end();
     v32 = MatrixT<float>::identity(n);
 
-    double prev_measure = detail::max_relative_offdiag_t(d32);
+    double prev_measure = max_relative_offdiag(d32);
     for (std::size_t sweep = 0; sweep < float_budget; ++sweep) {
       obs::Span sweep_span;
       if (trace != nullptr)
@@ -170,22 +131,16 @@ SvdResult mixed_modified_hestenes_svd_t(const Matrix& a,
         }
       }
       ++float_sweeps;
-      const double measure = detail::max_relative_offdiag_t(d32);
+      const double measure = max_relative_offdiag(d32);
       if (stats != nullptr) {
         stats->sweeps.total_rotations += rotations;
         stats->sweeps.total_skipped += skipped;
-        if (cfg.base.track_convergence) {
-          SweepRecord rec;
-          rec.mean_abs_offdiag = detail::mean_abs_offdiag_t(d32);
-          rec.max_rel_offdiag = measure;
-          rec.rotations = rotations;
-          rec.skipped = skipped;
-          stats->sweeps.sweeps.push_back(rec);
-        }
+        if (cfg.base.track_convergence)
+          stats->sweeps.sweeps.push_back(
+              detail::make_record(d32, rotations, skipped));
       }
       detail::record_sweep_metrics(metrics, watchdog, deadline, numerics, sweep,
-                                   detail::offdiag_frobenius_t(d32), measure,
-                                   rotations, skipped);
+                                   d32, rotations, skipped);
       offdiag_at_switch = measure;
       if (measure < cfg.switch_threshold) {
         reason = MixedSwitchReason::kThreshold;
@@ -232,7 +187,9 @@ SvdResult mixed_modified_hestenes_svd_t(const Matrix& a,
         trace, tid, "svd", "gram",
         obs::ArgsBuilder().add("rows", m).add("cols", n).str());
   const Matrix b = float_sweeps > 0 ? matmul(a, v) : a;
-  Matrix d = gram_upper_ops(b, opsd, cfg.base.gram_chunk_rows);
+  Matrix d_store(padded_ld<double>(n), n);
+  auto d = square_view(d_store);
+  gram_upper_ops_into(d, b, opsd, cfg.base.gram_chunk_rows);
   regram_span.end();
   const double offdiag_after_recompute = max_relative_offdiag(d);
 
@@ -292,7 +249,9 @@ SvdResult mixed_modified_hestenes_svd_t(const Matrix& a,
   obs::Span finalize_span;
   if (trace != nullptr)
     finalize_span = obs::Span(trace, tid, "svd", "finalize");
-  detail::finalize_gram_result(a, d, v, cfg.base, result, opsd);
+  const std::vector<double> diag = detail::sqrt_diagonal(d, opsd);
+  d_store = Matrix();  // D is dead; free it before finalization allocates
+  detail::finalize_gram_result(a, diag, v, cfg.base, result, opsd);
   finalize_span.end();
   if (numerics != nullptr) numerics->observe_finalize(a, result);
 

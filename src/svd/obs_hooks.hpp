@@ -23,9 +23,8 @@ namespace hjsvd::detail {
 
 /// Per-sweep convergence metrics, appended as series indexed by the 0-based
 /// sweep number.  Deterministic across engines and thread counts (the
-/// engines are bitwise identical).  This value overload serves engines whose
-/// working matrix is not a double Matrix (the mixed engine's float phase
-/// computes the measures itself, in double, and passes them in).  The
+/// engines are bitwise identical).  This value overload takes measures
+/// already computed; the engines call the overload on D below.  The
 /// numerics probe, when attached, gets the same off-diagonal mass (it
 /// publishes its per-pair aggregates at this sweep granularity).
 inline void record_sweep_metrics(obs::MetricsRegistry* metrics,
@@ -55,13 +54,15 @@ inline void record_sweep_metrics(obs::MetricsRegistry* metrics,
                          static_cast<double>(skipped));
 }
 
-inline void record_sweep_metrics(obs::MetricsRegistry* metrics,
-                                 obs::Watchdog* watchdog,
-                                 obs::Watchdog* deadline,
-                                 obs::NumericsProbe* numerics,
-                                 std::size_t sweep, const Matrix& d,
-                                 std::uint64_t rotations,
-                                 std::uint64_t skipped) {
+/// The per-sweep hook on the working matrix D itself (a Matrix, or the
+/// engines' padded SquareView of double or float): the measures are
+/// computed only when a consumer is attached.
+template <class Mat>
+void record_sweep_metrics(obs::MetricsRegistry* metrics,
+                          obs::Watchdog* watchdog, obs::Watchdog* deadline,
+                          obs::NumericsProbe* numerics, std::size_t sweep,
+                          const Mat& d, std::uint64_t rotations,
+                          std::uint64_t skipped) {
   // Poll the deadline here, before the measure computation: callers skip
   // the Gram refresh when no convergence consumer is attached, and the
   // wall-clock check needs no matrix data anyway.

@@ -228,8 +228,8 @@ INSTANTIATE_TEST_SUITE_P(Distributions, Differential32,
                          ::testing::Values(Dist::kNormalRange,
                                            Dist::kWideExponent,
                                            Dist::kSubnormalHeavy),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case Dist::kNormalRange: return "NormalRange";
                              case Dist::kWideExponent: return "WideExponent";
                              case Dist::kSubnormalHeavy:

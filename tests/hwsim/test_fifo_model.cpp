@@ -48,7 +48,9 @@ TEST_P(FifoModel, MatchesReferenceDeque) {
     ASSERT_EQ(fifo.size(), model.size());
     ASSERT_EQ(fifo.empty(), model.empty());
     ASSERT_EQ(fifo.full(), model.size() >= capacity);
-    if (!model.empty()) ASSERT_EQ(fifo.front(), model.front());
+    if (!model.empty()) {
+      ASSERT_EQ(fifo.front(), model.front());
+    }
   }
   EXPECT_EQ(fifo.push_stalls(), expect_push_stalls);
   EXPECT_EQ(fifo.pop_stalls(), expect_pop_stalls);

@@ -72,7 +72,8 @@ TEST(TraceRing, UnboundedRecorderKeepsV2Contract) {
   EXPECT_EQ(rec.ring_capacity(), 0u);
   const auto tid = rec.register_thread("main");
   for (int i = 0; i < 100; ++i)
-    rec.emit_instant(tid, "t", "e" + std::to_string(i), rec.now_us());
+    rec.emit_instant(tid, "t", std::string("e").append(std::to_string(i)),
+                     rec.now_us());
   EXPECT_EQ(rec.buffered_events(tid), 100u);
   EXPECT_EQ(rec.dropped_events_total(), 0u);
   const report::JsonValue doc = report::parse_json(rec.to_json());
@@ -86,7 +87,8 @@ TEST(TraceRing, DropsOldestWithExactCounters) {
   EXPECT_TRUE(rec.flight_recorder());
   const auto tid = rec.register_thread("main");
   for (int i = 0; i < 10; ++i) {
-    rec.emit_instant(tid, "t", "e" + std::to_string(i), rec.now_us());
+    rec.emit_instant(tid, "t", std::string("e").append(std::to_string(i)),
+                     rec.now_us());
     EXPECT_LE(rec.buffered_events(tid), 4u);  // cap is never exceeded
   }
   EXPECT_EQ(rec.buffered_events(tid), 4u);
@@ -143,7 +145,8 @@ TEST(TraceRing, DumpConcurrentWithEmissionYieldsValidJson) {
   std::thread emitter([&] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      rec.emit_instant(tid, "t", "e" + std::to_string(i++), rec.now_us());
+      rec.emit_instant(tid, "t", std::string("e").append(std::to_string(i++)),
+                       rec.now_us());
       rec.emit_counter(tid, "t", "occ", rec.now_us(),
                        static_cast<double>(i % 7));
     }
@@ -497,7 +500,9 @@ TEST(LiveTelemetry, ResultsAreByteIdenticalWithAndWithoutLiveSinks) {
   // The engines only feed the watchdog when the obs layer is compiled in;
   // with HJSVD_OBS=OFF the run must still be byte-identical (above), it
   // just observes nothing.
-  if (obs::kEnabled) EXPECT_GE(watchdog.sweeps_observed(), bare.sweeps);
+  if (obs::kEnabled) {
+    EXPECT_GE(watchdog.sweeps_observed(), bare.sweeps);
+  }
   EXPECT_FALSE(watchdog.deadline_exceeded());
   // The run's artifacts pass the same structural checks the scripts apply.
   const auto lines = read_lines(dir.str() + "/snapshots.jsonl");

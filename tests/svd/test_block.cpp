@@ -32,7 +32,8 @@ TEST_P(BlockSizes, MatchesGolubKahan) {
 INSTANTIATE_TEST_SUITE_P(Blocks, BlockSizes,
                          ::testing::Values<std::size_t>(4, 8, 16, 36, 64),
                          [](const auto& param_info) {
-                           return "b" + std::to_string(param_info.param);
+                           return std::string("b").append(
+                               std::to_string(param_info.param));
                          });
 
 TEST(BlockHestenes, SingleBlockEqualsWholeProblem) {

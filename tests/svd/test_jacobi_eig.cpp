@@ -104,7 +104,9 @@ TEST(JacobiEig, HilbertEigenvaluesArePositiveDecreasing) {
   const EigResult r = jacobi_eigendecomposition(hilbert(8));
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_GT(r.eigenvalues[i], 0.0);
-    if (i > 0) EXPECT_LE(r.eigenvalues[i], r.eigenvalues[i - 1]);
+    if (i > 0) {
+      EXPECT_LE(r.eigenvalues[i], r.eigenvalues[i - 1]);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "api/svd.hpp"
 #include "common/rng.hpp"
@@ -107,22 +108,27 @@ TEST(Workspace, SvdIsBitwiseIdenticalWarmAndCold) {
 }
 
 /// After the first same-shape decomposition, repeat calls are allocation
-/// free: alloc_total stays flat while reuse_total grows.
+/// free: alloc_total stays flat while reuse_total grows.  The Gram slot
+/// holds D padded to padded_ld(n) x n (n = 10 -> 16, n = 64 -> 72), so
+/// this also checks that the padding is sized once per n.
 TEST(Workspace, WarmRunsAreAllocationFree) {
   Rng rng(5);
-  const Matrix a = random_gaussian(16, 10, rng);
-  Workspace ws;
-  SvdOptions opt;
-  opt.compute_u = true;
-  opt.compute_v = true;
-  opt.workspace = &ws;
-  (void)svd(a, opt);
-  const std::uint64_t cold_allocs = ws.alloc_total();
-  EXPECT_GT(cold_allocs, 0u);
-  const std::uint64_t warm_start_reuse = ws.reuse_total();
-  for (int run = 0; run < 4; ++run) (void)svd(a, opt);
-  EXPECT_EQ(ws.alloc_total(), cold_allocs);
-  EXPECT_GT(ws.reuse_total(), warm_start_reuse);
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{16, 10},
+                             std::pair<std::size_t, std::size_t>{70, 64}}) {
+    const Matrix a = random_gaussian(m, n, rng);
+    Workspace ws;
+    SvdOptions opt;
+    opt.compute_u = true;
+    opt.compute_v = true;
+    opt.workspace = &ws;
+    (void)svd(a, opt);
+    const std::uint64_t cold_allocs = ws.alloc_total();
+    EXPECT_GT(cold_allocs, 0u) << "n=" << n;
+    const std::uint64_t warm_start_reuse = ws.reuse_total();
+    for (int run = 0; run < 4; ++run) (void)svd(a, opt);
+    EXPECT_EQ(ws.alloc_total(), cold_allocs) << "n=" << n;
+    EXPECT_GT(ws.reuse_total(), warm_start_reuse) << "n=" << n;
+  }
 }
 
 }  // namespace
