@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svd/hestenes.hpp"
-#include "svd/mixed_hestenes.hpp"
 #include "svd/plain_hestenes.hpp"
 
 namespace hjsvd {
@@ -89,12 +88,6 @@ SvdResult svd_on_pool(const Matrix& a, const SvdOptions& options,
       return modified_hestenes_svd(a, hj);
     case SvdMethod::kPlainHestenes:
       return plain_hestenes_svd(a, hj, nullptr, pool);
-    case SvdMethod::kMixedModifiedHestenes: {
-      MixedHestenesConfig mixed;
-      mixed.base = hj;
-      mixed.switch_threshold = options.mp_switch_threshold;
-      return mixed_modified_hestenes_svd(a, mixed);
-    }
     case SvdMethod::kTwoSidedJacobi: {
       TwoSidedConfig cfg;
       cfg.max_sweeps = options.max_sweeps;
@@ -132,8 +125,6 @@ const char* svd_method_name(SvdMethod method) {
   switch (method) {
     case SvdMethod::kModifiedHestenes: return "modified Hestenes-Jacobi";
     case SvdMethod::kPlainHestenes: return "plain Hestenes-Jacobi";
-    case SvdMethod::kMixedModifiedHestenes:
-      return "mixed-precision modified Hestenes-Jacobi (float -> double)";
     case SvdMethod::kTwoSidedJacobi: return "two-sided Jacobi";
     case SvdMethod::kGolubKahan: return "Golub-Kahan-Reinsch";
   }
@@ -144,7 +135,6 @@ const char* svd_method_token(SvdMethod method) {
   switch (method) {
     case SvdMethod::kModifiedHestenes: return "hestenes";
     case SvdMethod::kPlainHestenes: return "plain";
-    case SvdMethod::kMixedModifiedHestenes: return "mixed-modified";
     case SvdMethod::kTwoSidedJacobi: return "two-sided";
     case SvdMethod::kGolubKahan: return "golub-kahan";
   }
@@ -157,8 +147,6 @@ bool svd_method_from_token(const std::string& token, SvdMethod* method) {
     *method = SvdMethod::kModifiedHestenes;
   } else if (token == "plain" || token == "parallel") {
     *method = SvdMethod::kPlainHestenes;
-  } else if (token == "mixed-modified" || token == "mixed") {
-    *method = SvdMethod::kMixedModifiedHestenes;
   } else if (token == "two-sided" || token == "twosided") {
     *method = SvdMethod::kTwoSidedJacobi;
   } else if (token == "golub-kahan" || token == "gk") {

@@ -18,14 +18,13 @@ namespace hjsvd {
 
 class Workspace;
 
-/// Numeric values are stable across releases; 2, 3 and 4 belonged to
+/// Numeric values are stable across releases; 2, 3, 4 and 5 belonged to
 /// retired engines and stay unused.
 enum class SvdMethod {
-  kModifiedHestenes = 0,       // the paper's Algorithm 1 (default)
-  kPlainHestenes = 1,          // recomputing one-sided Jacobi
-  kMixedModifiedHestenes = 5,  // float opening sweeps + double refinement
-  kTwoSidedJacobi = 6,         // Kogbetliantz (square matrices only)
-  kGolubKahan = 7,  // Householder bidiagonalization + QR iteration
+  kModifiedHestenes = 0,  // the paper's Algorithm 1 (default)
+  kPlainHestenes = 1,     // recomputing one-sided Jacobi
+  kTwoSidedJacobi = 6,    // Kogbetliantz (square matrices only)
+  kGolubKahan = 7,        // Householder bidiagonalization + QR iteration
 };
 
 struct SvdOptions {
@@ -44,14 +43,6 @@ struct SvdOptions {
   /// one-shot call spawns no threads unless asked to.  Other methods run
   /// on the calling thread.  Results are bitwise independent of this value.
   std::size_t threads = 0;
-  /// kMixedModifiedHestenes only: promote the float phase to double once
-  /// max |off-diag| / max diag of the float-phase Gram matrix falls below
-  /// this (must be positive and finite; values near sqrt(eps_single) ~ 3e-4
-  /// hand over exactly as binary32 runs out of precision).  The engine also
-  /// promotes early on float-phase stall, so a too-small value degrades to
-  /// at most one wasted float sweep, never to a wrong answer.  Other
-  /// methods ignore it.  See docs/ALGORITHM.md §10.
-  double mp_switch_threshold = 1e-4;
   /// Opt-in relaxed SIMD tier for the Hestenes-family methods: Gram and
   /// covariance dot products use the 4-lane-split accumulation of
   /// linalg/simd/ instead of strict left-to-right sums (roughly lane-count
@@ -163,14 +154,16 @@ const char* svd_method_name(SvdMethod method);
 
 /// Canonical short token of a method — the shared vocabulary of the CLI's
 /// --method flag and the serve protocol's "method" field: hestenes | plain
-/// | mixed-modified | two-sided | golub-kahan.
+/// | two-sided | golub-kahan.
 const char* svd_method_token(SvdMethod method);
 
 /// Inverse of svd_method_token, also accepting the historical aliases:
 /// modified, parallel-modified and block (hestenes), parallel (plain),
-/// mixed (mixed-modified), twosided and gk.  The aliases of retired
-/// engines return the bits those engines returned: each was bitwise equal
-/// to its round-robin counterpart.  Returns false on an unknown token so
+/// twosided and gk.  The aliases of retired engines return the bits those
+/// engines returned: each was bitwise equal to its round-robin counterpart.
+/// The retired mixed-precision engine's tokens (mixed-modified, mixed) are
+/// unknown: its results differed from every remaining engine's.  Returns
+/// false on an unknown token so
 /// each caller can raise its own error flavor (usage error in the CLI,
 /// bad_request in the serve protocol).
 bool svd_method_from_token(const std::string& token, SvdMethod* method);

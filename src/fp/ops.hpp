@@ -37,25 +37,6 @@ struct SoftOps {
   static double sqrt(double a) { return sf_sqrt(a); }
 };
 
-/// Host-FPU binary32 arithmetic for the mixed-precision float phase.
-struct NativeOps32 {
-  static float add(float a, float b) { return a + b; }
-  static float sub(float a, float b) { return a - b; }
-  static float mul(float a, float b) { return a * b; }
-  static float div(float a, float b) { return a / b; }
-  static float sqrt(float a) { return std::sqrt(a); }
-};
-
-/// Bit-accurate binary32 soft-float; validates the float phase the same way
-/// SoftOps validates the double path.
-struct SoftOps32 {
-  static float add(float a, float b) { return sf32_add(a, b); }
-  static float sub(float a, float b) { return sf32_sub(a, b); }
-  static float mul(float a, float b) { return sf32_mul(a, b); }
-  static float div(float a, float b) { return sf32_div(a, b); }
-  static float sqrt(float a) { return sf32_sqrt(a); }
-};
-
 /// Native arithmetic that tallies operation counts into a caller-provided
 /// OpCounts instance (stateful, therefore methods are non-static).
 class CountingOps {

@@ -276,271 +276,4 @@ u64 f64_sqrt(u64 a) {
   return round_pack(0, t / 2 - 36 + 1085, z);
 }
 
-// --- binary32 -----------------------------------------------------------
-//
-// Same structure as the binary64 path above, with narrower frames: the
-// working significand carries its leading 1 at bit 30 of a u32 with 7
-// rounding bits below the 24-bit significand, and mul/div/sqrt run their
-// wide arithmetic in u64 instead of u128.
-
-namespace {
-
-using u32 = std::uint32_t;
-
-constexpr u32 kSignMask32 = 0x8000'0000U;
-constexpr u32 kFracMask32 = 0x007F'FFFFU;
-constexpr int kFracBits32 = 23;
-constexpr int kExpMax32 = 0xFF;
-constexpr u32 kQuietBit32 = 1U << 22;
-constexpr u32 kCanonicalNan32 = 0x7FC0'0000U;
-constexpr u32 kInf32 = static_cast<u32>(kExpMax32) << kFracBits32;
-
-int exp_of32(u32 a) { return static_cast<int>((a >> kFracBits32) & kExpMax32); }
-u32 frac_of32(u32 a) { return a & kFracMask32; }
-u32 sign_of32(u32 a) { return a & kSignMask32; }
-
-bool is_nan32(u32 a) { return exp_of32(a) == kExpMax32 && frac_of32(a) != 0; }
-bool is_inf32(u32 a) { return exp_of32(a) == kExpMax32 && frac_of32(a) == 0; }
-bool is_zero32(u32 a) { return (a & ~kSignMask32) == 0; }
-
-u32 propagate_nan32(u32 a, u32 b) {
-  if (is_nan32(a)) return a | kQuietBit32;
-  if (is_nan32(b)) return b | kQuietBit32;
-  return kCanonicalNan32;
-}
-
-u32 shift_right_jam32(u32 x, int n) {
-  if (n <= 0) return x;
-  if (n >= 32) return x != 0 ? 1 : 0;
-  return (x >> n) | ((x << (32 - n)) != 0 ? 1 : 0);
-}
-
-u32 shift_right_jam64to32(u64 x, int n) {
-  HJSVD_ASSERT(n > 0 && n < 64, "jam64to32 shift out of range");
-  const u64 shifted = x >> n;
-  const bool lost = (x << (64 - n)) != 0;
-  HJSVD_ASSERT((shifted >> 32) == 0, "jam64to32 result must fit in 32 bits");
-  return static_cast<u32>(shifted) | (lost ? 1 : 0);
-}
-
-/// Rounds (to nearest, ties to even) and packs a binary32 result.
-///
-/// Working convention: the value represented is z * 2^(be - 157).  When the
-/// result is a normal number, z has its leading 1 at bit 30 and `be` becomes
-/// the biased exponent; the bottom 7 bits of z are rounding bits below the
-/// 24-bit significand.  Callers may pass be == 1 with an unnormalized z,
-/// which encodes a subnormal.
-u32 round_pack32(u32 sign, int be, u32 z) {
-  if (be <= 0) {
-    z = shift_right_jam32(z, 1 - be);
-    be = 1;
-  }
-  const u32 round_bits = z & 0x7F;
-  z += 0x40;
-  if (round_bits == 0x40) z &= ~(1U << 7);  // tie: round to even
-  u32 sig24 = z >> 7;
-  if (sig24 >= (1U << 24)) {  // rounding carried out of the significand
-    sig24 >>= 1;
-    ++be;
-  }
-  if (sig24 == 0) return sign;  // rounded to (signed) zero
-  if ((sig24 >> kFracBits32) == 0) {
-    HJSVD_ASSERT(be == 1, "unnormalized significand outside subnormal frame");
-    return sign | sig24;
-  }
-  if (be >= kExpMax32) return sign | kInf32;  // overflow
-  return sign | (static_cast<u32>(be) << kFracBits32) | (sig24 & kFracMask32);
-}
-
-/// Unpacks a finite, non-zero operand into (effective biased exponent,
-/// significand with implicit bit, normalized into [2^23, 2^24)).
-void unpack_normalize32(u32 a, int& exp, u32& sig) {
-  exp = exp_of32(a);
-  sig = frac_of32(a);
-  if (exp == 0) {
-    const int shift = std::countl_zero(sig) - 8;
-    sig <<= shift;
-    exp = 1 - shift;
-  } else {
-    sig |= 1U << kFracBits32;
-  }
-}
-
-/// Unpacks into the add/sub working frame: implicit bit at position 30;
-/// subnormals keep their natural position with effective exponent 1.
-void unpack_working32(u32 a, int& exp, u32& z) {
-  exp = exp_of32(a);
-  z = frac_of32(a);
-  if (exp != 0) {
-    z |= 1U << kFracBits32;
-  } else {
-    exp = 1;
-  }
-  z <<= 7;
-}
-
-bool mag_lt32(u32 a, u32 b) { return (a & ~kSignMask32) < (b & ~kSignMask32); }
-
-u32 add_mags32(u32 a, u32 b, u32 sign) {
-  int ea, eb;
-  u32 za, zb;
-  unpack_working32(a, ea, za);
-  unpack_working32(b, eb, zb);
-  if (ea < eb) {
-    std::swap(ea, eb);
-    std::swap(za, zb);
-  }
-  zb = shift_right_jam32(zb, ea - eb);
-  u32 sum = za + zb;
-  int be = ea;
-  if (sum & (1U << 31)) {
-    sum = shift_right_jam32(sum, 1);
-    ++be;
-  }
-  return round_pack32(sign, be, sum);
-}
-
-u32 sub_mags32(u32 a, u32 b) {
-  if (mag_lt32(a, b)) std::swap(a, b);
-  if ((a & ~kSignMask32) == (b & ~kSignMask32)) return 0;  // exact zero is +0
-  const u32 sign = sign_of32(a);
-  int ea, eb;
-  u32 za, zb;
-  unpack_working32(a, ea, za);
-  unpack_working32(b, eb, zb);
-  zb = shift_right_jam32(zb, ea - eb);
-  u32 diff = za - zb;
-  int be = ea;
-  HJSVD_ASSERT(diff != 0, "exact cancellation handled by caller");
-  const int lz = std::countl_zero(diff) - 1;
-  const int shift = lz < (be - 1) ? lz : (be - 1);
-  diff <<= shift;
-  be -= shift;
-  return round_pack32(sign, be, diff);
-}
-
-}  // namespace
-
-bool f32_is_nan(u32 a) { return is_nan32(a); }
-bool f32_is_inf(u32 a) { return is_inf32(a); }
-bool f32_is_zero(u32 a) { return is_zero32(a); }
-bool f32_is_subnormal(u32 a) { return exp_of32(a) == 0 && frac_of32(a) != 0; }
-
-u32 f32_add(u32 a, u32 b) {
-  if (is_nan32(a) || is_nan32(b)) return propagate_nan32(a, b);
-  if (is_inf32(a)) {
-    if (is_inf32(b) && sign_of32(a) != sign_of32(b)) return kCanonicalNan32;
-    return a;
-  }
-  if (is_inf32(b)) return b;
-  if (is_zero32(a) && is_zero32(b)) return sign_of32(a) & sign_of32(b);
-  if (is_zero32(a)) return b;
-  if (is_zero32(b)) return a;
-  if (sign_of32(a) == sign_of32(b)) return add_mags32(a, b, sign_of32(a));
-  return sub_mags32(a, b);
-}
-
-u32 f32_sub(u32 a, u32 b) { return f32_add(a, b ^ kSignMask32); }
-
-u32 f32_mul(u32 a, u32 b) {
-  if (is_nan32(a) || is_nan32(b)) return propagate_nan32(a, b);
-  const u32 sign = sign_of32(a) ^ sign_of32(b);
-  if (is_inf32(a) || is_inf32(b)) {
-    if (is_zero32(a) || is_zero32(b)) return kCanonicalNan32;  // inf * 0
-    return sign | kInf32;
-  }
-  if (is_zero32(a) || is_zero32(b)) return sign;
-  int ea, eb;
-  u32 sa, sb;
-  unpack_normalize32(a, ea, sa);
-  unpack_normalize32(b, eb, sb);
-  const u64 p = static_cast<u64>(sa) * sb;  // in [2^46, 2^48)
-  int be;
-  u32 z;
-  if ((p >> 47) != 0) {
-    z = shift_right_jam64to32(p, 17);
-    be = ea + eb - 126;
-  } else {
-    z = shift_right_jam64to32(p, 16);
-    be = ea + eb - 127;
-  }
-  return round_pack32(sign, be, z);
-}
-
-u32 f32_div(u32 a, u32 b) {
-  if (is_nan32(a) || is_nan32(b)) return propagate_nan32(a, b);
-  const u32 sign = sign_of32(a) ^ sign_of32(b);
-  if (is_inf32(a)) {
-    if (is_inf32(b)) return kCanonicalNan32;  // inf / inf
-    return sign | kInf32;
-  }
-  if (is_inf32(b)) return sign;  // finite / inf = signed 0
-  if (is_zero32(b)) {
-    if (is_zero32(a)) return kCanonicalNan32;  // 0 / 0
-    return sign | kInf32;                      // x / 0 = inf
-  }
-  if (is_zero32(a)) return sign;
-  int ea, eb;
-  u32 sa, sb;
-  unpack_normalize32(a, ea, sa);
-  unpack_normalize32(b, eb, sb);
-  int be;
-  u64 n;
-  if (sa >= sb) {
-    n = static_cast<u64>(sa) << 30;  // quotient in [2^30, 2^31)
-    be = ea - eb + 127;
-  } else {
-    n = static_cast<u64>(sa) << 31;  // quotient in (2^30, 2^31)
-    be = ea - eb + 126;
-  }
-  u32 q = static_cast<u32>(n / sb);
-  const u64 r = n - static_cast<u64>(q) * sb;
-  if (r != 0) q |= 1;  // sticky
-  HJSVD_ASSERT((q >> 30) == 1, "quotient must be normalized at bit 30");
-  return round_pack32(sign, be, q);
-}
-
-u32 f32_sqrt(u32 a) {
-  if (is_nan32(a)) return a | kQuietBit32;
-  if (is_zero32(a)) return a;                // sqrt(+-0) = +-0
-  if (sign_of32(a)) return kCanonicalNan32;  // sqrt of negative
-  if (is_inf32(a)) return a;
-  int ea;
-  u32 sa;
-  unpack_normalize32(a, ea, sa);
-  // value = sa * 2^t with t = ea - 150; force t even so sqrt halves it.
-  int t = ea - 150;
-  u64 x = sa;
-  if (t & 1) {
-    x <<= 1;
-    t -= 1;
-  }
-  // x in [2^23, 2^25).  Unlike binary64 (odd fraction width there makes the
-  // two octaves collapse under one even shift), binary32 needs a per-octave
-  // even shift to land S = floor(sqrt(x << 2j)) in [2^30, 2^31).
-  int j;
-  if ((x >> 24) != 0) {
-    x <<= 36;  // x in [2^24, 2^25) => x<<36 in [2^60, 2^61)
-    j = 18;
-  } else {
-    x <<= 38;  // x in [2^23, 2^24) => x<<38 in [2^61, 2^62)
-    j = 19;
-  }
-  u64 rem = 0, root = 0;
-  for (int shift = 62; shift >= 0; shift -= 2) {
-    rem = (rem << 2) | ((x >> shift) & 0x3);
-    root <<= 1;
-    const u64 trial = (root << 1) | 1;
-    if (rem >= trial) {
-      rem -= trial;
-      root |= 1;
-    }
-  }
-  u32 z = static_cast<u32>(root);
-  HJSVD_ASSERT((z >> 30) == 1, "sqrt significand must be normalized");
-  if (rem != 0) z |= 1;  // sticky
-  // round_pack32 expects z * 2^(be - 157); here value = z * 2^(t/2 - j).
-  return round_pack32(0, t / 2 - j + 157, z);
-}
-
 }  // namespace hjsvd::fp

@@ -28,12 +28,6 @@ inline std::uint64_t to_bits(double x) { return std::bit_cast<std::uint64_t>(x);
 /// Reinterprets an IEEE-754 bit pattern as a double.
 inline double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 
-/// Reinterprets a float as its IEEE-754 binary32 bit pattern.
-inline std::uint32_t to_bits32(float x) { return std::bit_cast<std::uint32_t>(x); }
-
-/// Reinterprets an IEEE-754 binary32 bit pattern as a float.
-inline float from_bits32(std::uint32_t b) { return std::bit_cast<float>(b); }
-
 // --- Bit-level operations -------------------------------------------------
 
 std::uint64_t f64_add(std::uint64_t a, std::uint64_t b);
@@ -49,24 +43,6 @@ bool f64_is_inf(std::uint64_t a);
 bool f64_is_zero(std::uint64_t a);
 bool f64_is_subnormal(std::uint64_t a);
 
-// --- Bit-level operations, binary32 ----------------------------------------
-//
-// Same semantics as the binary64 set (RNE, subnormals, quieted NaN
-// propagation); added for the mixed-precision engine so the float sweep
-// phase has the same testable, host-FPU-independent definition that the
-// double path has.
-
-std::uint32_t f32_add(std::uint32_t a, std::uint32_t b);
-std::uint32_t f32_sub(std::uint32_t a, std::uint32_t b);
-std::uint32_t f32_mul(std::uint32_t a, std::uint32_t b);
-std::uint32_t f32_div(std::uint32_t a, std::uint32_t b);
-std::uint32_t f32_sqrt(std::uint32_t a);
-
-bool f32_is_nan(std::uint32_t a);
-bool f32_is_inf(std::uint32_t a);
-bool f32_is_zero(std::uint32_t a);
-bool f32_is_subnormal(std::uint32_t a);
-
 // --- double-typed convenience wrappers -------------------------------------
 
 inline double sf_add(double x, double y) { return from_bits(f64_add(to_bits(x), to_bits(y))); }
@@ -74,13 +50,5 @@ inline double sf_sub(double x, double y) { return from_bits(f64_sub(to_bits(x), 
 inline double sf_mul(double x, double y) { return from_bits(f64_mul(to_bits(x), to_bits(y))); }
 inline double sf_div(double x, double y) { return from_bits(f64_div(to_bits(x), to_bits(y))); }
 inline double sf_sqrt(double x) { return from_bits(f64_sqrt(to_bits(x))); }
-
-// --- float-typed convenience wrappers --------------------------------------
-
-inline float sf32_add(float x, float y) { return from_bits32(f32_add(to_bits32(x), to_bits32(y))); }
-inline float sf32_sub(float x, float y) { return from_bits32(f32_sub(to_bits32(x), to_bits32(y))); }
-inline float sf32_mul(float x, float y) { return from_bits32(f32_mul(to_bits32(x), to_bits32(y))); }
-inline float sf32_div(float x, float y) { return from_bits32(f32_div(to_bits32(x), to_bits32(y))); }
-inline float sf32_sqrt(float x) { return from_bits32(f32_sqrt(to_bits32(x))); }
 
 }  // namespace hjsvd::fp

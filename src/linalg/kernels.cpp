@@ -69,10 +69,6 @@ void rotate_pair(std::span<double> x, std::span<double> y, double c,
   simd::rotate_pair(x, y, c, s);
 }
 
-void rotate_pair(std::span<float> x, std::span<float> y, float c, float s) {
-  simd::rotate_pair(x, y, c, s);
-}
-
 void rotation_hardware_batch(std::span<const double> norm_jj,
                              std::span<const double> norm_ii,
                              std::span<const double> cov,

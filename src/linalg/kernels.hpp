@@ -43,11 +43,6 @@ double col_norm(std::span<const double> x);
 void rotate_pair(std::span<double> x, std::span<double> y, double c,
                  double s);
 
-/// Binary32 rotate_pair for the mixed-precision float phase.  Same SIMD
-/// dispatch and bit-identity contract as the double overload (8 x float
-/// lanes on AVX2).
-void rotate_pair(std::span<float> x, std::span<float> y, float c, float s);
-
 /// Batched hardware-form rotation generation (structure-of-arrays): lane l
 /// gets exactly the bits of rotation_hardware<fp::NativeOps>(norm_jj[l],
 /// norm_ii[l], cov[l]); cov[l] == 0 lanes yield the identity with
@@ -106,9 +101,7 @@ Matrix gram_full(const Matrix& a);
 std::vector<double> squared_col_norms(const Matrix& a);
 
 // Convergence measures of an upper-triangular D, templated over its storage
-// (Matrix, or the engines' padded SquareView of double or float).  Every
-// sum and max accumulates in double, so the mixed engine's float phase gets
-// an exact measure of its binary32 D.
+// (Matrix, or the engines' padded SquareView).
 
 /// Mean absolute value of the strictly-upper off-diagonal entries of a
 /// square matrix — the paper's convergence metric ("mean absolute deviations
@@ -121,7 +114,7 @@ double mean_abs_offdiag(const Mat& d) {
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
-      sum += std::abs(static_cast<double>(d(i, j)));
+      sum += std::abs(d(i, j));
   return sum / (static_cast<double>(n) * (n - 1) / 2.0);
 }
 
@@ -137,8 +130,8 @@ double max_relative_offdiag(const Mat& d) {
   for (std::size_t j = 0; j < n; ++j) {
     const auto cj = d.col(j);
     for (std::size_t i = 0; i < j; ++i)
-      max_off = std::max(max_off, std::abs(static_cast<double>(cj[i])));
-    max_diag = std::max(max_diag, std::abs(static_cast<double>(cj[j])));
+      max_off = std::max(max_off, std::abs(cj[i]));
+    max_diag = std::max(max_diag, std::abs(cj[j]));
   }
   if (max_diag == 0.0)
     return max_off == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
@@ -156,7 +149,7 @@ double offdiag_frobenius(const Mat& d) {
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = static_cast<double>(d(i, j));
+      const double v = d(i, j);
       sum += v * v;
     }
   return std::sqrt(2.0 * sum);

@@ -16,8 +16,6 @@ namespace hjsvd::simd::detail {
 struct Backend {
   void (*rotate_pair)(double* x, double* y, std::size_t n, double c,
                       double s);
-  void (*rotate_pair_f32)(float* x, float* y, std::size_t n, float c,
-                          float s);
   void (*rotation_hardware_batch)(std::size_t count, const double* norm_jj,
                                   const double* norm_ii, const double* cov,
                                   double* t, double* c, double* s,

@@ -94,11 +94,6 @@ void rotate_pair(std::span<double> x, std::span<double> y, double c,
   state().backend->rotate_pair(x.data(), y.data(), x.size(), c, s);
 }
 
-void rotate_pair(std::span<float> x, std::span<float> y, float c, float s) {
-  HJSVD_ENSURE(x.size() == y.size(), "rotate_pair requires equal lengths");
-  state().backend->rotate_pair_f32(x.data(), y.data(), x.size(), c, s);
-}
-
 void rotation_hardware_batch(std::size_t count, const double* norm_jj,
                              const double* norm_ii, const double* cov,
                              double* t, double* c, double* s,

@@ -35,28 +35,6 @@ void rotate_pair_avx2(double* x, double* y, std::size_t n, double c,
   }
 }
 
-void rotate_pair_f32_avx2(float* x, float* y, std::size_t n, float c,
-                          float s) {
-  const __m256 vc = _mm256_set1_ps(c);
-  const __m256 vs = _mm256_set1_ps(s);
-  const std::size_t body = n - n % 8;
-  std::size_t r = 0;
-  for (; r < body; r += 8) {
-    const __m256 xr = _mm256_loadu_ps(x + r);
-    const __m256 yr = _mm256_loadu_ps(y + r);
-    _mm256_storeu_ps(
-        x + r, _mm256_sub_ps(_mm256_mul_ps(xr, vc), _mm256_mul_ps(yr, vs)));
-    _mm256_storeu_ps(
-        y + r, _mm256_add_ps(_mm256_mul_ps(xr, vs), _mm256_mul_ps(yr, vc)));
-  }
-  for (; r < n; ++r) {
-    const float xr = x[r];
-    const float yr = y[r];
-    x[r] = xr * c - yr * s;
-    y[r] = xr * s + yr * c;
-  }
-}
-
 void rotation_batch_avx2(std::size_t count, const double* norm_jj,
                          const double* norm_ii, const double* cov, double* t,
                          double* c, double* s, std::uint8_t* rotate) {
@@ -152,9 +130,8 @@ double squared_norm_relaxed_avx2(const double* x, std::size_t n) {
 }  // namespace
 
 const Backend& avx2_backend() {
-  static const Backend backend{rotate_pair_avx2, rotate_pair_f32_avx2,
-                               rotation_batch_avx2, dot_relaxed_avx2,
-                               squared_norm_relaxed_avx2};
+  static const Backend backend{rotate_pair_avx2, rotation_batch_avx2,
+                               dot_relaxed_avx2, squared_norm_relaxed_avx2};
   return backend;
 }
 

@@ -20,16 +20,6 @@ void rotate_pair_scalar(double* x, double* y, std::size_t n, double c,
   }
 }
 
-void rotate_pair_f32_scalar(float* x, float* y, std::size_t n, float c,
-                            float s) {
-  for (std::size_t r = 0; r < n; ++r) {
-    const float xr = x[r];
-    const float yr = y[r];
-    x[r] = xr * c - yr * s;
-    y[r] = xr * s + yr * c;
-  }
-}
-
 void rotation_batch_scalar(std::size_t count, const double* norm_jj,
                            const double* norm_ii, const double* cov,
                            double* t, double* c, double* s,
@@ -63,9 +53,8 @@ double squared_norm_relaxed_scalar(const double* x, std::size_t n) {
 }  // namespace
 
 const Backend& scalar_backend() {
-  static const Backend backend{rotate_pair_scalar, rotate_pair_f32_scalar,
-                               rotation_batch_scalar, dot_relaxed_scalar,
-                               squared_norm_relaxed_scalar};
+  static const Backend backend{rotate_pair_scalar, rotation_batch_scalar,
+                               dot_relaxed_scalar, squared_norm_relaxed_scalar};
   return backend;
 }
 

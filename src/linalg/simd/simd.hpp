@@ -75,11 +75,6 @@ Level set_level(Level level);
 void rotate_pair(std::span<double> x, std::span<double> y, double c,
                  double s);
 
-/// Binary32 variant of rotate_pair for the mixed-precision float phase
-/// (8 x float lanes on AVX2).  Same bit-identity contract: no FMA, no
-/// reassociation, each lane computes the scalar float loop's bits.
-void rotate_pair(std::span<float> x, std::span<float> y, float c, float s);
-
 /// Batched hardware-form rotation generation: lane l solves the 2x2 problem
 /// (norm_jj[l], norm_ii[l], cov[l]) producing exactly the bits of
 /// rotation_hardware<fp::NativeOps>, 4 problems per vector op.  Lanes whose

@@ -25,8 +25,8 @@
 //    (counters, histogram buckets, min/max watermarks) commutes, so the
 //    published svd.num.* values are deterministic across engines' internal
 //    scheduling.  All per-pair sites in the shipping engines are serial
-//    (sequential loop, blocked generate phase, mixed-precision phases); the mutex exists for svd_batch, where pool
-//    workers share one probe.
+//    (sequential loop, blocked generate phase); the mutex exists for
+//    svd_batch, where pool workers share one probe.
 //
 // Verdicts: observe_sweep feeds nothing (the Watchdog gets the off-diagonal
 // series directly via record_sweep_metrics and flags divergence itself);

@@ -210,39 +210,6 @@ void fill_batch(const MetricsView& metrics, RunReport* report) {
       series_stats(metrics.series_values("batch.queue.occupancy"));
 }
 
-/// Numeric svd.mp.switch_reason gauge -> stable string (matches
-/// hjsvd::MixedSwitchReason; the report layer deliberately does not link
-/// the engine library, so the mapping is duplicated here and locked by
-/// tests/report/test_report.cpp).
-std::string switch_reason_name(double value) {
-  switch (static_cast<int>(value)) {
-    case 0: return "threshold";
-    case 1: return "stall";
-    case 2: return "budget";
-    case 3: return "skipped";
-    default: return "unknown";
-  }
-}
-
-void fill_mixed(const MetricsView& metrics, RunReport* report) {
-  if (!metrics.has("svd.mp.switch_sweep")) return;
-  report->has_mixed = true;
-  report->mp_float_sweeps =
-      static_cast<std::uint64_t>(metrics.value_or("svd.mp.float_sweeps", 0.0));
-  report->mp_double_sweeps = static_cast<std::uint64_t>(
-      metrics.value_or("svd.mp.double_sweeps", 0.0));
-  report->mp_switch_sweep =
-      static_cast<std::uint64_t>(metrics.value_or("svd.mp.switch_sweep", 0.0));
-  report->mp_switch_threshold =
-      metrics.value_or("svd.mp.switch_threshold", 0.0);
-  report->mp_switch_reason =
-      switch_reason_name(metrics.value_or("svd.mp.switch_reason", -1.0));
-  report->mp_offdiag_at_switch =
-      metrics.value_or("svd.mp.offdiag_at_switch", 0.0);
-  report->mp_offdiag_after_recompute =
-      metrics.value_or("svd.mp.offdiag_after_recompute", 0.0);
-}
-
 void fill_live(const JsonValue& trace_doc, const MetricsView& metrics,
                RunReport* report) {
   const JsonValue* other = trace_doc.find("otherData");
@@ -410,7 +377,6 @@ RunReport analyze_run(const JsonValue& trace_doc,
   aggregate_phases(trace_doc, &report);
   fill_sim(metrics, &report);
   fill_batch(metrics, &report);
-  fill_mixed(metrics, &report);
   fill_live(trace_doc, metrics, &report);
   fill_numerics(metrics, &report);
   fill_serve(metrics, &report);
@@ -473,18 +439,7 @@ std::string report_json(const RunReport& r) {
     append_series_stats(os, r.batch_queue_occupancy);
     os << "},\n";
   }
-  // Like batch, the mixed member is omitted entirely when absent.
-  if (r.has_mixed) {
-    os << "\"mixed\": {\"float_sweeps\": " << r.mp_float_sweeps
-       << ", \"double_sweeps\": " << r.mp_double_sweeps
-       << ", \"switch_sweep\": " << r.mp_switch_sweep
-       << ", \"switch_threshold\": " << json_number(r.mp_switch_threshold)
-       << ", \"switch_reason\": " << quoted(r.mp_switch_reason)
-       << ", \"offdiag_at_switch\": " << json_number(r.mp_offdiag_at_switch)
-       << ", \"offdiag_after_recompute\": "
-       << json_number(r.mp_offdiag_after_recompute) << "},\n";
-  }
-  // Like batch/mixed, the live member is omitted entirely when absent.
+  // Like batch, the live member is omitted entirely when absent.
   if (r.has_live) {
     os << "\"live\": {\"ring_enabled\": " << json_bool(r.live_ring_enabled)
        << ", \"ring_capacity_events\": " << r.live_ring_capacity_events
@@ -503,7 +458,7 @@ std::string report_json(const RunReport& r) {
        << r.live_watchdog_deadline_overruns
        << ", \"dumps\": " << r.live_dumps << "},\n";
   }
-  // Like batch/mixed/live, the numerics member is omitted entirely when
+  // Like batch/live, the numerics member is omitted entirely when
   // absent.
   if (r.has_numerics) {
     os << "\"numerics\": {\"samples\": " << r.num_samples
@@ -613,16 +568,6 @@ std::string report_table(const RunReport& r) {
        << format_fixed(r.batch_queue_occupancy.p95, 2) << " / max "
        << format_fixed(r.batch_queue_occupancy.max, 0) << " over "
        << r.batch_queue_occupancy.samples << " samples\n\n";
-  }
-
-  if (r.has_mixed) {
-    os << "mixed precision: " << r.mp_float_sweeps << " float + "
-       << r.mp_double_sweeps << " double sweeps, switched at sweep "
-       << r.mp_switch_sweep << " (" << r.mp_switch_reason << ", threshold "
-       << format_sci(r.mp_switch_threshold) << "), offdiag "
-       << format_sci(r.mp_offdiag_at_switch) << " at switch -> "
-       << format_sci(r.mp_offdiag_after_recompute)
-       << " after the double Gram recompute\n\n";
   }
 
   if (r.has_live) {
@@ -780,21 +725,6 @@ RunReport report_from_json(const JsonValue& doc) {
     }
     if (const JsonValue* occ = batch->find("queue_occupancy"))
       r.batch_queue_occupancy = series_stats_from_json(*occ);
-  }
-  if (const JsonValue* mixed = doc.find("mixed");
-      mixed != nullptr && mixed->is_object()) {
-    r.has_mixed = true;
-    r.mp_float_sweeps =
-        static_cast<std::uint64_t>(mixed->number_or("float_sweeps", 0.0));
-    r.mp_double_sweeps =
-        static_cast<std::uint64_t>(mixed->number_or("double_sweeps", 0.0));
-    r.mp_switch_sweep =
-        static_cast<std::uint64_t>(mixed->number_or("switch_sweep", 0.0));
-    r.mp_switch_threshold = mixed->number_or("switch_threshold", 0.0);
-    r.mp_switch_reason = mixed->string_or("switch_reason");
-    r.mp_offdiag_at_switch = mixed->number_or("offdiag_at_switch", 0.0);
-    r.mp_offdiag_after_recompute =
-        mixed->number_or("offdiag_after_recompute", 0.0);
   }
   if (const JsonValue* live = doc.find("live");
       live != nullptr && live->is_object()) {

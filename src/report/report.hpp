@@ -105,23 +105,10 @@ struct RunReport {
   std::vector<BatchWorkerStat> batch_worker_stats;  // by worker index
   SeriesStats batch_queue_occupancy;  // batch.queue.occupancy series
 
-  // Mixed-precision section (kMixedModifiedHestenes runs; svd.mp.* gauges,
-  // see docs/ALGORITHM.md §10).  Like batch, the member is omitted from the
-  // JSON entirely when absent, so pre-mixed reports re-serialize
-  // byte-for-byte.
-  bool has_mixed = false;
-  std::uint64_t mp_float_sweeps = 0;   // binary32 opening sweeps
-  std::uint64_t mp_double_sweeps = 0;  // binary64 refinement sweeps
-  std::uint64_t mp_switch_sweep = 0;   // 0-based sweep index of promotion
-  double mp_switch_threshold = 0.0;    // configured hand-over level
-  std::string mp_switch_reason;        // threshold | stall | budget | skipped
-  double mp_offdiag_at_switch = 0.0;   // float-phase measure at promotion
-  double mp_offdiag_after_recompute = 0.0;  // after the double Gram rebuild
-
   // Live-telemetry section (flight-recorder trace rings + convergence
   // watchdog; src/obs/live.hpp).  Present when the trace is an
   // hjsvd.trace.v3 flight-recorder dump and/or the metrics carry
-  // obs.watchdog.* verdicts.  Like batch/mixed, the member is omitted from
+  // obs.watchdog.* verdicts.  Like batch, the member is omitted from
   // the JSON entirely when absent, so pre-live reports re-serialize
   // byte-for-byte.  compare_reports treats these as *invariants*, not
   // timings: a candidate flipping a watchdog verdict to true, or starting
@@ -142,7 +129,7 @@ struct RunReport {
 
   // Numerical-health section (sampled accuracy probes; src/obs/numerics.hpp,
   // svd.num.* metrics).  Present when the run recorded probe samples.  Like
-  // batch/mixed/live, the member is omitted from the JSON entirely when
+  // batch/live, the member is omitted from the JSON entirely when
   // absent, so pre-probe reports re-serialize byte-for-byte.
   // compare_reports gates the accuracy leaves (backward error, orthogonality
   // drift — higher is worse) and the two verdicts (false → true flips are
@@ -171,7 +158,7 @@ struct RunReport {
 
   // Serving section (hjsvd_serve daemon sessions; serve.* metrics from
   // src/serve/server.cpp).  Present when the metrics document came from a
-  // serve run.  Like batch/mixed/live/numerics, the member is omitted from
+  // serve run.  Like batch/live/numerics, the member is omitted from
   // the JSON entirely when absent, so offline-run reports re-serialize
   // byte-for-byte.  Invariants the serve validator enforces:
   //   requests_total == admitted_total + rejected_overload +

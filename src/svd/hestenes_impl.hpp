@@ -28,28 +28,17 @@ inline Matrix& scratch_matrix(Workspace* ws, Workspace::Slot slot,
   return local;
 }
 
-/// Whether an Ops policy is native host-FPU arithmetic in the matrix's
-/// scalar type, i.e. eligible for the SIMD-dispatched kernels (which are
-/// bitwise identical to the scalar loops at every level).
-template <class Ops, class T>
-inline constexpr bool kNativeOpsFor =
-    (std::is_same_v<Ops, fp::NativeOps> && std::is_same_v<T, double>) ||
-    (std::is_same_v<Ops, fp::NativeOps32> && std::is_same_v<T, float>);
-
 /// Applies the plane rotation to the covariance entries affected by
 /// orthogonalizing columns (i, j) — Algorithm 1 lines 18-26.  D stores the
 /// upper triangle (row <= col); the canonical location of the covariance
 /// between columns p < q is D(p, q).  Both outputs of each pair are computed
 /// from the *original* values, as the hardware update kernel does (Fig. 5;
 /// the paper's pseudocode reads as if line 20 consumed line 19's output,
-/// which would be wrong).  Mat is the engines' padded SquareView of double,
-/// or of float for the mixed-precision float phase (any matrix with the
-/// same interface works); the working scalar type follows the matrix.
+/// which would be wrong).  Mat is the engines' padded SquareView (any matrix
+/// with the same interface works).
 template <class Mat, class Ops>
-void rotate_covariances(Mat& d, std::size_t i, std::size_t j,
-                        typename Mat::value_type c,
-                        typename Mat::value_type s, Ops ops) {
-  using T = typename Mat::value_type;
+void rotate_covariances(Mat& d, std::size_t i, std::size_t j, double c,
+                        double s, Ops ops) {
   const std::size_t n = d.cols();
   auto col_i = d.col(i);
   auto col_j = d.col(j);
@@ -57,47 +46,45 @@ void rotate_covariances(Mat& d, std::size_t i, std::size_t j,
   // the native-arithmetic policy takes the SIMD-dispatched kernel (bitwise
   // identical to the loop below; see linalg/simd/simd.hpp).  The strided
   // middle/tail segments stay scalar.
-  if constexpr (kNativeOpsFor<Ops, T>) {
+  if constexpr (std::is_same_v<Ops, fp::NativeOps>) {
     rotate_pair(col_i.first(i), col_j.first(i), c, s);
   } else {
     for (std::size_t k = 0; k < i; ++k) {
-      const T x = col_i[k];
-      const T y = col_j[k];
+      const double x = col_i[k];
+      const double y = col_j[k];
       col_i[k] = ops.sub(ops.mul(x, c), ops.mul(y, s));
       col_j[k] = ops.add(ops.mul(x, s), ops.mul(y, c));
     }
   }
   // i < k < j: covariances live at D(i, k) and D(k, j).
   for (std::size_t k = i + 1; k < j; ++k) {
-    const T x = d(i, k);
-    const T y = col_j[k];
+    const double x = d(i, k);
+    const double y = col_j[k];
     d(i, k) = ops.sub(ops.mul(x, c), ops.mul(y, s));
     col_j[k] = ops.add(ops.mul(x, s), ops.mul(y, c));
   }
   // k > j: covariances live at D(i, k) and D(j, k).
   for (std::size_t k = j + 1; k < n; ++k) {
-    const T x = d(i, k);
-    const T y = d(j, k);
+    const double x = d(i, k);
+    const double y = d(j, k);
     d(i, k) = ops.sub(ops.mul(x, c), ops.mul(y, s));
     d(j, k) = ops.add(ops.mul(x, s), ops.mul(y, c));
   }
 }
 
 /// Rotates columns i and j of a matrix per eqs. (11)-(12).
-template <class Mat, class Ops>
-void rotate_columns(Mat& v, std::size_t i, std::size_t j,
-                    typename Mat::value_type c, typename Mat::value_type s,
-                    Ops ops) {
-  using T = typename Mat::value_type;
+template <class Ops>
+void rotate_columns(Matrix& v, std::size_t i, std::size_t j, double c,
+                    double s, Ops ops) {
   auto vi = v.col(i);
   auto vj = v.col(j);
-  if constexpr (kNativeOpsFor<Ops, T>) {
+  if constexpr (std::is_same_v<Ops, fp::NativeOps>) {
     // SIMD-dispatched, bitwise identical to the scalar loop below.
     rotate_pair(vi, vj, c, s);
   } else {
     for (std::size_t r = 0; r < vi.size(); ++r) {
-      const T x = vi[r];
-      const T y = vj[r];
+      const double x = vi[r];
+      const double y = vj[r];
       vi[r] = ops.sub(ops.mul(x, c), ops.mul(y, s));
       vj[r] = ops.add(ops.mul(x, s), ops.mul(y, c));
     }
@@ -135,24 +122,20 @@ inline bool below_threshold(double cov, double dii, double djj,
 /// One rotation step on D (and V, when accumulated): Algorithm 1 lines 8-26.
 /// Returns false when the pair was skipped (orthogonal or sub-threshold).
 /// D is the engines' padded SquareView (or any matrix with the same
-/// interface); V is a dense matrix of the same scalar type.
-template <class DMat, class VMat, class Ops>
-bool apply_pair(DMat& d, VMat* v, const HestenesConfig& cfg, std::size_t i,
+/// interface).
+template <class DMat, class Ops>
+bool apply_pair(DMat& d, Matrix* v, const HestenesConfig& cfg, std::size_t i,
                 std::size_t j, Ops ops) {
-  using T = typename DMat::value_type;
-  static_assert(std::is_same_v<T, typename VMat::value_type>,
-                "D and V must share the working scalar type");
-  const T cov = d(i, j);
-  if (below_threshold(static_cast<double>(cov), static_cast<double>(d(i, i)),
-                      static_cast<double>(d(j, j)), cfg.rotation_threshold))
+  const double cov = d(i, j);
+  if (below_threshold(cov, d(i, i), d(j, j), cfg.rotation_threshold))
     return false;
-  const RotationParamsT<T> p =
+  const RotationParams p =
       compute_rotation(cfg.formula, d(j, j), d(i, i), cov, ops);
   if (!p.rotate) return false;
-  const T tc = ops.mul(p.t, cov);
+  const double tc = ops.mul(p.t, cov);
   d(j, j) = ops.add(d(j, j), tc);  // line 15
   d(i, i) = ops.sub(d(i, i), tc);  // line 16
-  d(i, j) = T(0);                  // line 17
+  d(i, j) = 0.0;                   // line 17
   rotate_covariances(d, i, j, p.cos, p.sin, ops);
   if (v != nullptr) rotate_columns(*v, i, j, p.cos, p.sin, ops);
   return true;
@@ -410,7 +393,7 @@ SvdResult modified_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
   Workspace* ws = cfg.workspace;
   Matrix d_local;
   auto d = square_view(detail::scratch_matrix(
-      ws, Workspace::Slot::kGram, padded_ld<double>(n), n, d_local));
+      ws, Workspace::Slot::kGram, padded_ld(n), n, d_local));
   if constexpr (std::is_same_v<Ops, fp::NativeOps>) {
     if (cfg.simd_relaxed && cfg.gram_chunk_rows == 1) {
       gram_upper_relaxed_into(d, a);

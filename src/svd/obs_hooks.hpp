@@ -55,7 +55,7 @@ inline void record_sweep_metrics(obs::MetricsRegistry* metrics,
 }
 
 /// The per-sweep hook on the working matrix D itself (a Matrix, or the
-/// engines' padded SquareView of double or float): the measures are
+/// engines' padded SquareView): the measures are
 /// computed only when a consumer is attached.
 template <class Mat>
 void record_sweep_metrics(obs::MetricsRegistry* metrics,

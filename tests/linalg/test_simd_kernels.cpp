@@ -220,78 +220,6 @@ TEST(SimdRotatePair, MismatchedLengthsThrow) {
   EXPECT_THROW(rotate_pair(x, y, 1.0, 0.0), Error);
 }
 
-// ---- bit-identical tier: binary32 rotate_pair ----------------------------
-
-/// Scalar reference of the float overload (mixed-precision float phase):
-/// same contract as the double kernel, 8 lanes per AVX2 register.
-void rotate_pair_f32_reference(std::vector<float>& x, std::vector<float>& y,
-                               float c, float s) {
-  for (std::size_t r = 0; r < x.size(); ++r) {
-    const float xr = x[r];
-    const float yr = y[r];
-    x[r] = xr * c - yr * s;
-    y[r] = xr * s + yr * c;
-  }
-}
-
-TEST(SimdRotatePairF32, BitIdenticalAllSizesAndLevels) {
-  Rng rng(104);
-  for (const std::size_t n : kSizes) {
-    std::vector<float> x0(n), y0(n);
-    for (auto& v : x0) v = static_cast<float>(rng.gaussian());
-    for (auto& v : y0) v = static_cast<float>(rng.gaussian());
-    const double angle = rng.gaussian();
-    const float c = static_cast<float>(std::cos(angle));
-    const float s = static_cast<float>(std::sin(angle));
-    std::vector<float> xr = x0, yr = y0;
-    rotate_pair_f32_reference(xr, yr, c, s);
-    for (const simd::Level level : available_levels()) {
-      LevelGuard guard(level);
-      std::vector<float> x = x0, y = y0;
-      rotate_pair(x, y, c, s);
-      for (std::size_t r = 0; r < n; ++r) {
-        ASSERT_EQ(fp::to_bits32(x[r]), fp::to_bits32(xr[r]))
-            << "n=" << n << " level=" << simd::level_name(level) << " r=" << r;
-        ASSERT_EQ(fp::to_bits32(y[r]), fp::to_bits32(yr[r]))
-            << "n=" << n << " level=" << simd::level_name(level) << " r=" << r;
-      }
-    }
-  }
-}
-
-TEST(SimdRotatePairF32, BitIdenticalOnUnalignedSubspans) {
-  Rng rng(105);
-  for (const std::size_t n : kSizes) {
-    std::vector<float> x0(n + 1), y0(n + 1);
-    for (auto& v : x0) v = static_cast<float>(rng.gaussian());
-    for (auto& v : y0) v = static_cast<float>(rng.gaussian());
-    const float c = 0.8f;
-    const float s = 0.6f;
-    std::vector<float> xtail(x0.begin() + 1, x0.end());
-    std::vector<float> ytail(y0.begin() + 1, y0.end());
-    rotate_pair_f32_reference(xtail, ytail, c, s);
-    for (const simd::Level level : available_levels()) {
-      LevelGuard guard(level);
-      std::vector<float> x = x0, y = y0;
-      rotate_pair(std::span<float>(x).subspan(1),
-                  std::span<float>(y).subspan(1), c, s);
-      ASSERT_EQ(x[0], x0[0]);
-      ASSERT_EQ(y[0], y0[0]);
-      for (std::size_t r = 0; r < n; ++r) {
-        ASSERT_EQ(fp::to_bits32(x[r + 1]), fp::to_bits32(xtail[r]))
-            << "n=" << n << " level=" << simd::level_name(level) << " r=" << r;
-        ASSERT_EQ(fp::to_bits32(y[r + 1]), fp::to_bits32(ytail[r]))
-            << "n=" << n << " level=" << simd::level_name(level) << " r=" << r;
-      }
-    }
-  }
-}
-
-TEST(SimdRotatePairF32, MismatchedLengthsThrow) {
-  std::vector<float> x(4), y(5);
-  EXPECT_THROW(rotate_pair(x, y, 1.0f, 0.0f), Error);
-}
-
 // ---- bit-identical tier: rotation_hardware_batch -------------------------
 
 /// Lane inputs mixing the interesting regimes: in-band random problems,

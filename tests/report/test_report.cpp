@@ -259,87 +259,18 @@ TEST(ReportBatch, TableRendersSchedulerBehaviour) {
   EXPECT_NE(table.find("2 workers (4 requested)"), std::string::npos);
 }
 
-// --- Mixed-precision section ----------------------------------------------
+// --- Retired sections -----------------------------------------------------
 
-// A metrics document as the mixed-precision engine records it (svd.mp.*
-// gauges; switch_reason encodes hjsvd::MixedSwitchReason as a number).
-const char* kMixedMetrics = R"({
-"schema": "hjsvd.metrics.v1",
-"metrics": [
-  {"name": "svd.mp.float_sweeps", "unit": "sweeps", "type": "gauge", "value": 5},
-  {"name": "svd.mp.double_sweeps", "unit": "sweeps", "type": "gauge", "value": 2},
-  {"name": "svd.mp.switch_sweep", "unit": "sweep", "type": "gauge", "value": 5},
-  {"name": "svd.mp.switch_threshold", "unit": "ratio", "type": "gauge", "value": 1e-4},
-  {"name": "svd.mp.switch_reason", "unit": "enum", "type": "gauge", "value": 0},
-  {"name": "svd.mp.offdiag_at_switch", "unit": "ratio", "type": "gauge", "value": 3.5e-5},
-  {"name": "svd.mp.offdiag_after_recompute", "unit": "ratio", "type": "gauge", "value": 3.4e-5}
-]
-})";
-
-RunReport mixed_report() {
-  return analyze_run(
-      parse_json(R"({"schema": "hjsvd.trace.v1", "traceEvents": []})"),
-      parse_json(kMixedMetrics));
-}
-
-TEST(ReportMixed, AnalyzeFillsMixedSectionFromMetrics) {
-  const RunReport r = mixed_report();
-  ASSERT_TRUE(r.has_mixed);
-  EXPECT_EQ(r.mp_float_sweeps, 5u);
-  EXPECT_EQ(r.mp_double_sweeps, 2u);
-  EXPECT_EQ(r.mp_switch_sweep, 5u);
-  EXPECT_EQ(r.mp_switch_threshold, 1e-4);
-  EXPECT_EQ(r.mp_switch_reason, "threshold");
-  EXPECT_EQ(r.mp_offdiag_at_switch, 3.5e-5);
-  EXPECT_EQ(r.mp_offdiag_after_recompute, 3.4e-5);
-}
-
-TEST(ReportMixed, SwitchReasonMappingMatchesEngineEnum) {
-  // Locks the numeric encoding duplicated in report.cpp against
-  // hjsvd::MixedSwitchReason's declaration order.
-  const std::pair<double, const char*> cases[] = {
-      {0.0, "threshold"}, {1.0, "stall"},   {2.0, "budget"},
-      {3.0, "skipped"},   {4.0, "unknown"}, {-1.0, "unknown"},
-  };
-  for (const auto& [value, want] : cases) {
-    std::string doc(kMixedMetrics);
-    const std::string needle = "\"svd.mp.switch_reason\", \"unit\": \"enum\", "
-                               "\"type\": \"gauge\", \"value\": 0";
-    const std::size_t pos = doc.find(needle);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos + needle.size() - 1, 1, std::to_string(value));
-    const RunReport r = analyze_run(
-        parse_json(R"({"schema": "hjsvd.trace.v1", "traceEvents": []})"),
-        parse_json(doc));
-    EXPECT_EQ(r.mp_switch_reason, want) << "value " << value;
-  }
-}
-
-TEST(ReportMixed, MixedSectionRoundTrips) {
-  const RunReport a = mixed_report();
-  const std::string json = report_json(a);
-  EXPECT_NE(json.find("\"mixed\""), std::string::npos);
-  const RunReport b = report_from_json(parse_json(json));
-  ASSERT_TRUE(b.has_mixed);
-  EXPECT_EQ(b.mp_float_sweeps, 5u);
-  EXPECT_EQ(b.mp_double_sweeps, 2u);
-  EXPECT_EQ(b.mp_switch_reason, "threshold");
-  EXPECT_EQ(b.mp_switch_threshold, 1e-4);
-  EXPECT_EQ(report_json(a), report_json(b));
-}
-
-TEST(ReportMixed, AbsentMixedOmitsTheMemberEntirely) {
-  // Same contract as batch: no "mixed": null, so pre-mixed-precision
-  // reports keep serializing byte-for-byte (golden file enforces too).
+TEST(ReportCompat, RetiredMixedMemberIsIgnoredOnLoad) {
+  // Reports written while the mixed-precision engine existed carry a
+  // "mixed" member.  The parser reads members by name, so such a report
+  // still loads, and re-serializing it drops the member.
   const std::string json = report_json(fixture_report());
-  EXPECT_EQ(json.find("\"mixed\""), std::string::npos);
-}
-
-TEST(ReportMixed, TableRendersTheSwitchStory) {
-  const std::string table = report_table(mixed_report());
-  EXPECT_NE(table.find("mixed precision: 5 float + 2 double sweeps"),
-            std::string::npos);
-  EXPECT_NE(table.find("switched at sweep 5 (threshold"), std::string::npos);
+  std::string old = json;
+  old.insert(old.find('{') + 1,
+             "\"mixed\": {\"float_sweeps\": 5, \"switch_reason\": "
+             "\"threshold\"},\n");
+  EXPECT_EQ(report_json(report_from_json(parse_json(old))), json);
 }
 
 // --- Live-telemetry section -----------------------------------------------

@@ -341,6 +341,22 @@ TEST(ServeServer, DuplicateInFlightIdIsBadRequest) {
   EXPECT_EQ(ok, 1u);
 }
 
+/// The retired mixed-precision engine's token has no alias: a frame naming
+/// it is rejected, not silently run on another engine.
+TEST(ServeServer, RetiredMixedMethodIsABadRequest) {
+  ServerConfig config;
+  config.threads = 1;
+  SvdServer server(config);
+  ReplyLog log;
+  server.submit_line(
+      R"({"id":"mp","rows":2,"cols":2,"data":[1,2,3,4],"method":"mixed"})",
+      log.sink());
+  server.drain();
+  const std::string reply = log.reply("mp");
+  EXPECT_TRUE(is_error(reply, kErrBadRequest)) << reply;
+  EXPECT_NE(reply.find("unknown method 'mixed'"), std::string::npos) << reply;
+}
+
 /// A poisoned request (non-finite payload reaching the engine) gets an
 /// engine_error reply while wave-mates still succeed.
 TEST(ServeServer, EngineErrorIsIsolatedToItsRequest) {

@@ -24,26 +24,17 @@ TEST(PaddedLd, DoublesTakeAnOddNumberOfCacheLines) {
       {1, 8},    {2, 8},    {7, 8},    {8, 8},    {24, 24},  {48, 56},
       {64, 72},  {248, 248}, {255, 264}, {256, 264}, {257, 264}};
   for (const auto& [n, ld] : cases)
-    EXPECT_EQ(padded_ld<double>(n), ld) << "n=" << n;
-}
-
-TEST(PaddedLd, FloatsTakeAnOddNumberOfCacheLines) {
-  const std::pair<std::size_t, std::size_t> cases[] = {
-      {1, 16},   {2, 16},   {7, 16},   {8, 16},   {24, 48},  {48, 48},
-      {64, 80},  {248, 272}, {255, 272}, {256, 272}, {257, 272}};
-  for (const auto& [n, ld] : cases)
-    EXPECT_EQ(padded_ld<float>(n), ld) << "n=" << n;
+    EXPECT_EQ(padded_ld(n), ld) << "n=" << n;
 }
 
 /// padded_ld is the *smallest* ld >= n whose byte stride is an odd multiple
 /// of 64 B.
-template <class T>
-void expect_smallest_odd_line_stride(std::size_t max_n) {
+TEST(PaddedLd, IsTheSmallestOddLineStride) {
   const auto odd_lines = [](std::size_t ld) {
-    return (ld * sizeof(T)) % 128 == 64;
+    return (ld * sizeof(double)) % 128 == 64;
   };
-  for (std::size_t n = 1; n <= max_n; ++n) {
-    const std::size_t ld = padded_ld<T>(n);
+  for (std::size_t n = 1; n <= 600; ++n) {
+    const std::size_t ld = padded_ld(n);
     ASSERT_GE(ld, n);
     ASSERT_TRUE(odd_lines(ld)) << "n=" << n;
     for (std::size_t c = n; c < ld; ++c)
@@ -51,13 +42,8 @@ void expect_smallest_odd_line_stride(std::size_t max_n) {
   }
 }
 
-TEST(PaddedLd, IsTheSmallestOddLineStride) {
-  expect_smallest_odd_line_stride<double>(600);
-  expect_smallest_odd_line_stride<float>(600);
-}
-
 TEST(SquareView, IndexesTheLeadingRowsOfAPaddedBlock) {
-  Matrix storage(padded_ld<double>(5), 5);
+  Matrix storage(padded_ld(5), 5);
   const auto d = square_view(storage);
   EXPECT_EQ(d.rows(), 5u);
   EXPECT_EQ(d.cols(), 5u);
@@ -73,7 +59,7 @@ TEST(SquareView, MeasuresMatchTheDenseMatrix) {
   Rng rng(41);
   const Matrix a = random_gaussian(30, 13, rng);
   const Matrix dense = gram_upper(a);
-  Matrix storage(padded_ld<double>(13), 13);
+  Matrix storage(padded_ld(13), 13);
   const auto view = square_view(storage);
   gram_upper_ops_into(view, a, fp::NativeOps{});
   EXPECT_EQ(fp::to_bits(max_relative_offdiag(view)),

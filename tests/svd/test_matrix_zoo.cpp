@@ -1,6 +1,6 @@
 // Matrix zoo: ill-conditioned, graded and extreme-scale inputs through
-// every Gram-rotating engine (sequential, mixed precision), with relative
-// singular-value error bounds.
+// both Hestenes-Jacobi engines (the Gram-rotating modified engine and the
+// plain engine), with relative singular-value error bounds.
 //
 // The accuracy contract is the one for Jacobi applied to the explicitly
 // formed Gram matrix D = A^T A (the modified-Gram formulation all these
@@ -33,7 +33,7 @@
 #include "obs/live.hpp"
 #include "obs/numerics.hpp"
 #include "svd/hestenes.hpp"
-#include "svd/mixed_hestenes.hpp"
+#include "svd/plain_hestenes.hpp"
 
 namespace hjsvd {
 
@@ -89,7 +89,7 @@ void PrintTo(const ZooCase& zoo, std::ostream* os) { *os << zoo.name; }
 
 const SvdMethod kEngines[] = {
     SvdMethod::kModifiedHestenes,
-    SvdMethod::kMixedModifiedHestenes,
+    SvdMethod::kPlainHestenes,
 };
 
 class MatrixZoo
@@ -129,7 +129,7 @@ std::string zoo_param_name(
   std::string engine;
   switch (method) {
     case SvdMethod::kModifiedHestenes: engine = "sequential"; break;
-    case SvdMethod::kMixedModifiedHestenes: engine = "mixed"; break;
+    case SvdMethod::kPlainHestenes: engine = "plain"; break;
     default: engine = "other"; break;
   }
   return std::string(zoo.name) + "_" + engine;
@@ -203,8 +203,8 @@ TEST(MatrixZoo, ThresholdConvergenceIsScaleInvariant) {
 }
 
 /// Same contract exercised with the rotation threshold armed through every
-/// Gram-rotating engine (they share detail::below_threshold, so each call
-/// site must survive the scale that used to overflow the squared compare).
+/// Hestenes-Jacobi engine (each call site of the skip test must survive the
+/// scale that used to overflow the squared compare).
 TEST(MatrixZoo, ScaledThresholdRunsConvergeInEveryEngine) {
   Rng rng(912);
   const std::vector<double> sv = geometric_sv(16, 1e8);
@@ -216,9 +216,7 @@ TEST(MatrixZoo, ScaledThresholdRunsConvergeInEveryEngine) {
   cfg.rotation_threshold = 1e-12;
 
   EXPECT_TRUE(modified_hestenes_svd(a, cfg).converged) << "sequential";
-  MixedHestenesConfig mixed;
-  mixed.base = cfg;
-  EXPECT_TRUE(mixed_modified_hestenes_svd(a, mixed).converged) << "mixed";
+  EXPECT_TRUE(plain_hestenes_svd(a, cfg).converged) << "plain";
 }
 
 // ---------------------------------------------------------------------------
@@ -348,13 +346,7 @@ TEST(MatrixZooProbes, RankDeficiencyRaisesTheConditionEstimate) {
 TEST(MatrixZooProbes, ProbesNeverPerturbAnyEngineAtAnyThreadCount) {
   Rng rng(73);
   const Matrix a = random_conditioned(40, 28, 1e10, rng);
-  // The full Hestenes family, not just the modified-Gram engines of kEngines.
-  const SvdMethod probe_engines[] = {
-      SvdMethod::kModifiedHestenes,
-      SvdMethod::kPlainHestenes,
-      SvdMethod::kMixedModifiedHestenes,
-  };
-  for (const SvdMethod method : probe_engines) {
+  for (const SvdMethod method : kEngines) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SvdOptions opt;
       opt.method = method;

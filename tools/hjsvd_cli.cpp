@@ -55,7 +55,7 @@ SvdMethod parse_method(const std::string& name) {
   SvdMethod method;
   if (!svd_method_from_token(name, &method))
     throw UsageError("unknown --method '" + name +
-                     "' (hestenes|plain|mixed-modified|two-sided|golub-kahan)");
+                     "' (hestenes|plain|two-sided|golub-kahan)");
   return method;
 }
 
@@ -242,9 +242,9 @@ int main(int argc, char** argv) {
   try {
     cli.add_option("input", "", "input .mtx file");
     cli.add_option("method", "hestenes",
-                   "hestenes|plain|mixed-modified|two-sided|golub-kahan "
-                   "(aliases: modified, parallel-modified and block for "
-                   "hestenes; parallel for plain; mixed; twosided; gk)");
+                   "hestenes|plain|two-sided|golub-kahan (aliases: "
+                   "modified, parallel-modified and block for hestenes; "
+                   "parallel for plain; twosided; gk)");
     cli.add_option("threads", "auto",
                    "worker threads of --batch (positive integer, or 'auto' "
                    "= hardware concurrency) and of the plain method's rounds "
@@ -262,10 +262,6 @@ int main(int argc, char** argv) {
     cli.add_option("sweeps", "30", "max sweeps (Jacobi methods)");
     cli.add_option("tolerance", "1e-13",
                    "convergence tolerance (positive finite number)");
-    cli.add_option("mp-switch", "1e-4",
-                   "--method mixed-modified: off-diagonal level at which the "
-                   "float phase promotes to double (positive finite number; "
-                   "see docs/ALGORITHM.md §10)");
     cli.add_option("write-u", "", "write left singular vectors to .mtx");
     cli.add_option("write-v", "", "write right singular vectors to .mtx");
     cli.add_option("fpga-sim", "false",
@@ -339,7 +335,6 @@ int main(int argc, char** argv) {
     opt.simd_relaxed = cli.get_bool("simd-relaxed");
     opt.max_sweeps = static_cast<std::size_t>(cli.get_int("sweeps"));
     opt.tolerance = parse_positive_double(cli, "tolerance");
-    opt.mp_switch_threshold = parse_positive_double(cli, "mp-switch");
     opt.threads = parse_count(cli, "threads", 0);
     opt.compute_u = !cli.get("write-u").empty();
     opt.compute_v = !cli.get("write-v").empty();
