@@ -15,6 +15,8 @@ template SvdResult plain_hestenes_svd_t<fp::FixedOps>(const Matrix&,
 SvdResult fixed_point_hestenes_svd(const Matrix& a, const fp::FixedFormat& fmt,
                                    fp::FixedStats& stats,
                                    const HestenesConfig& cfg) {
+  HJSVD_ENSURE(!cfg.compute_u && !cfg.compute_v,
+               "the fixed-point engine computes singular values only");
   // Quantize the input first — loading the matrix into a fixed-point
   // datapath is itself a quantization.
   Matrix q = a;

@@ -13,7 +13,9 @@ namespace hjsvd {
 
 /// Runs the plain Hestenes-Jacobi SVD entirely in the given fixed-point
 /// format; `stats` reports saturation/underflow events (the failure
-/// signature when the data's dynamic range exceeds the format).
+/// signature when the data's dynamic range exceeds the format).  Singular
+/// values only: a saturated run has no orthonormal U to complete, so
+/// `cfg.compute_u` or `cfg.compute_v` throws hjsvd::Error before any sweep.
 SvdResult fixed_point_hestenes_svd(const Matrix& a, const fp::FixedFormat& fmt,
                                    fp::FixedStats& stats,
                                    const HestenesConfig& cfg = {});

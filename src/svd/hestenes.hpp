@@ -75,7 +75,7 @@ struct HestenesConfig {
   /// (the default) allocates fresh buffers per run.  Results are bitwise
   /// identical either way (acquired buffers come back zeroed); the arena
   /// must not be shared across concurrently running engines.  Honored by
-  /// the modified engine only; the plain and block engines ignore it.
+  /// the modified engine only; the plain engine ignores it.
   Workspace* workspace = nullptr;
 
   /// Accumulation chunking of the initial Gram computation: chunk_rows = 1

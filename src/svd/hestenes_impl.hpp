@@ -10,7 +10,7 @@
 
 #include "linalg/kernels.hpp"
 #include "svd/hestenes.hpp"
-#include "svd/obs_hooks.hpp"
+#include "svd/sweep_driver.hpp"
 #include "svd/workspace.hpp"
 
 namespace hjsvd {
@@ -139,18 +139,6 @@ bool apply_pair(DMat& d, Matrix* v, const HestenesConfig& cfg, std::size_t i,
   rotate_covariances(d, i, j, p.cos, p.sin, ops);
   if (v != nullptr) rotate_columns(*v, i, j, p.cos, p.sin, ops);
   return true;
-}
-
-/// Record post-sweep convergence metrics.
-template <class Mat>
-SweepRecord make_record(const Mat& d, std::uint64_t rotations,
-                        std::uint64_t skipped) {
-  SweepRecord rec;
-  rec.mean_abs_offdiag = mean_abs_offdiag(d);
-  rec.max_rel_offdiag = max_relative_offdiag(d);
-  rec.rotations = rotations;
-  rec.skipped = skipped;
-  return rec;
 }
 
 /// Dot product with strict left-to-right accumulation under the policy.
@@ -366,24 +354,14 @@ Matrix gram_upper_ops(const Matrix& a, Ops ops, std::size_t chunk_rows) {
 template <class Ops>
 SvdResult modified_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
                                   HestenesStats* stats, Ops ops) {
-  const std::size_t m = a.rows();
+  detail::check_sweep_input(a, cfg);
   const std::size_t n = a.cols();
-  HJSVD_ENSURE(m > 0 && n > 0, "matrix must be non-empty");
-  HJSVD_ENSURE(cfg.max_sweeps > 0, "need at least one sweep");
-  HJSVD_ENSURE(all_finite(a), "input matrix must be finite (no NaN/inf)");
-
-  auto* trace = obs::active(cfg.obs.trace);
-  auto* metrics = obs::active(cfg.obs.metrics);
-  auto* watchdog = obs::active(cfg.obs.watchdog);
-  auto* deadline = obs::active(cfg.obs.deadline);
-  auto* numerics = obs::active(cfg.obs.numerics);
-  const std::uint32_t tid =
-      trace != nullptr ? trace->register_thread("hestenes (sequential)") : 0;
+  const detail::RunObs run(cfg.obs, "hestenes (sequential)");
 
   obs::Span gram_span;
-  if (trace != nullptr)
-    gram_span = obs::Span(trace, tid, "svd", "gram",
-                          obs::ArgsBuilder().add("rows", m).add("cols", n).str());
+  if (run.trace != nullptr)
+    gram_span = run.span(
+        "gram", obs::ArgsBuilder().add("rows", a.rows()).add("cols", n).str());
   // The two big working buffers come from the attached Workspace when one
   // is present, so a warm serve worker runs this whole function without
   // touching the heap.  Acquired buffers arrive zeroed, which is exactly
@@ -412,63 +390,23 @@ SvdResult modified_hestenes_svd_t(const Matrix& a, const HestenesConfig& cfg,
   if (need_v)
     for (std::size_t i = 0; i < n; ++i) v(i, i) = 1.0;
 
-  const auto pairs = sweep_pairs(cfg.ordering, n);
-  SvdResult result;
-  if (stats != nullptr) *stats = HestenesStats{};
-
-  std::size_t sweeps_done = 0;
-  std::uint64_t total_rotations = 0, total_skipped = 0;
-  std::uint64_t pair_seq = 0;  // numerics-probe sampling index
-  for (std::size_t sweep = 0; sweep < cfg.max_sweeps; ++sweep) {
-    obs::Span sweep_span;
-    if (trace != nullptr)
-      sweep_span = obs::Span(trace, tid, "svd", "sweep",
-                             obs::ArgsBuilder().add("sweep", sweep).str());
-    std::uint64_t rotations = 0, skipped = 0;
-    for (const auto& [i, j] : pairs) {
-      // Probe reads happen before apply_pair mutates the pair's entries;
-      // pure reads, so the arithmetic is untouched.
-      if (numerics != nullptr && numerics->want(pair_seq))
-        numerics->observe_pair(d(i, i), d(j, j), d(i, j));
-      ++pair_seq;
-      if (detail::apply_pair(d, need_v ? &v : nullptr, cfg, i, j, ops)) {
-        ++rotations;
-      } else {
-        ++skipped;
-      }
-    }
-    ++sweeps_done;
-    total_rotations += rotations;
-    total_skipped += skipped;
-    if (stats != nullptr) {
-      stats->total_rotations += rotations;
-      stats->total_skipped += skipped;
-      if (cfg.track_convergence)
-        stats->sweeps.push_back(detail::make_record(d, rotations, skipped));
-    }
-    detail::record_sweep_metrics(metrics, watchdog, deadline, numerics, sweep, d,
-                                 rotations, skipped);
-    if (cfg.tolerance > 0.0 && max_relative_offdiag(d) < cfg.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.sweeps = sweeps_done;
-  if (cfg.tolerance == 0.0) {
-    // Fixed-sweep mode: report convergence by the library's default check.
-    result.converged = max_relative_offdiag(d) < 1e-10;
-  }
-
-  obs::Span finalize_span;
-  if (trace != nullptr) finalize_span = obs::Span(trace, tid, "svd", "finalize");
-  const std::vector<double> diag = detail::sqrt_diagonal(d, ops);
-  d_local = Matrix();  // D is dead; a Workspace-held D stays in its slot
-  detail::finalize_gram_result(a, diag, v, cfg, result, ops, ws);
-  finalize_span.end();
-  if (numerics != nullptr) numerics->observe_finalize(a, result);
-  detail::record_run_metrics(metrics, m, n, sweeps_done, total_rotations,
-                             total_skipped, result.converged);
-  return result;
+  // The pairs of a round share D (rotate_covariances updates whole rows and
+  // columns of it), so the rounds run inline, in pair order.  The slot takes
+  // the pair's entries just before they are rotated.
+  const auto step = [&](std::size_t i, std::size_t j, detail::PairSlot& slot) {
+    slot.norm_ii = d(i, i);
+    slot.norm_jj = d(j, j);
+    slot.cov = d(i, j);
+    slot.rotated = detail::apply_pair(d, need_v ? &v : nullptr, cfg, i, j, ops);
+  };
+  const auto measure = [&](bool) { return d; };
+  const auto finalize = [&](SvdResult& result) {
+    const std::vector<double> diag = detail::sqrt_diagonal(d, ops);
+    d_local = Matrix();  // D is dead; a Workspace-held D stays in its slot
+    detail::finalize_gram_result(a, diag, v, cfg, result, ops, ws);
+  };
+  return detail::run_sweeps(a, cfg, stats, run, nullptr, step, measure,
+                            finalize);
 }
 
 }  // namespace hjsvd

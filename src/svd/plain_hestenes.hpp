@@ -16,7 +16,9 @@
 // the hardware's concurrent rotations (Figs. 1 and 6).  No datum is read
 // and written by two pairs of a round, and per-pair statistics are folded
 // in pair order after the join, so results, stats and numerics-probe
-// samples are bitwise identical at every pool size and inline.
+// samples are bitwise identical at every pool size and inline.  The
+// sweeps run on the modified engine's driver (svd/sweep_driver.hpp), so
+// both engines record the same stats, metrics and `sweep`/`finalize` spans.
 #pragma once
 
 #include "fp/latency.hpp"

@@ -43,6 +43,7 @@ TEST(FifoCalibration, SimulatedFifoSaturatesAtConfiguredDepth) {
 }
 
 TEST(FifoCalibration, MetricsShareNamespaceWithExplicitUnits) {
+  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out (HJSVD_OBS=OFF)";
   const Matrix a = saturating_matrix();
   obs::MetricsRegistry metrics;
 

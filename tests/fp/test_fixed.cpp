@@ -132,5 +132,29 @@ TEST(FixedHestenes, WiderFormatRecoversAccuracy) {
                                  oracle.singular_values));
 }
 
+TEST(FixedHestenes, RejectsSingularVectorsBeforeAnySweep) {
+  // Seed 2 saturates and used to fail in U's null-space completion after
+  // the run; seed 1 used to return.  Both are refused up front now: stats
+  // show no quantization and no arithmetic.
+  for (std::uint64_t seed : {1u, 2u}) {
+    Rng rng(seed);
+    const Matrix a = random_gaussian(64, 64, rng);
+    for (const bool want_u : {true, false}) {
+      HestenesConfig cfg;
+      cfg.max_sweeps = 12;
+      cfg.tolerance = 1e-13;
+      cfg.compute_u = want_u;
+      cfg.compute_v = !want_u;
+      FixedStats stats;
+      EXPECT_THROW(fixed_point_hestenes_svd(a, FixedFormat{}, stats, cfg),
+                   Error)
+          << "seed " << seed;
+      EXPECT_EQ(stats.operations, 0u);
+      EXPECT_EQ(stats.saturations, 0u);
+      EXPECT_EQ(stats.underflows, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hjsvd

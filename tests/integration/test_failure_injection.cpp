@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/generate.hpp"
-#include "svd/block_hestenes.hpp"
 #include "svd/hestenes.hpp"
 #include "svd/plain_hestenes.hpp"
 
@@ -51,10 +50,6 @@ TEST_P(FailureInjection, ModifiedHestenesRejects) {
 
 TEST_P(FailureInjection, PlainHestenesRejects) {
   EXPECT_THROW(plain_hestenes_svd(rect()), Error);
-}
-
-TEST_P(FailureInjection, BlockHestenesRejects) {
-  EXPECT_THROW(block_hestenes_svd(rect()), Error);
 }
 
 TEST_P(FailureInjection, ParallelHestenesRejects) {

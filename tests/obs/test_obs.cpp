@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "fp/ops.hpp"
 #include "linalg/generate.hpp"
-#include "svd/block_hestenes.hpp"
 #include "svd/hestenes.hpp"
 #include "svd/plain_hestenes.hpp"
 
@@ -212,17 +211,46 @@ TEST(ObsJson, NonFiniteMetricSerializesAsNull) {
 
 // --- Span structure --------------------------------------------------------
 
+/// Span count per name in a recorded trace.
+std::map<std::string, std::size_t> span_counts(
+    const obs::TraceRecorder& trace) {
+  std::map<std::string, std::size_t> names;
+  for (const auto& e : trace.snapshot())
+    if (e.ph == 'X') ++names[e.name];
+  return names;
+}
+
 TEST(ObsTrace, RequiredSpanNamesPresent) {
-  obs::TraceRecorder trace;
-  traced_run(test_matrix(24, 16), &trace, nullptr);
-  std::map<std::string, int> names;
-  for (const auto& e : trace.snapshot()) ++names[e.name];
-  EXPECT_GT(names["gram"], 0);
-  EXPECT_GT(names["sweep"], 0);
-  EXPECT_GT(names["finalize"], 0);
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
+  const Matrix a = test_matrix(24, 16);
+  {
+    obs::TraceRecorder trace;
+    const SvdResult r = traced_run(a, &trace, nullptr);
+    const auto names = span_counts(trace);
+    EXPECT_EQ(names.size(), 3u);
+    EXPECT_EQ(names.at("gram"), 1u);
+    EXPECT_EQ(names.at("sweep"), r.sweeps);
+    EXPECT_EQ(names.at("finalize"), 1u);
+  }
+  // The plain engine runs the same sweep driver: one span per sweep and
+  // one finalize span, inline and with its rounds on a pool.
+  WorkStealingPool pool(2);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    obs::TraceRecorder trace;
+    HestenesConfig cfg;
+    cfg.compute_u = true;
+    cfg.compute_v = true;
+    cfg.obs.trace = &trace;
+    const SvdResult r = plain_hestenes_svd(a, cfg, nullptr, p);
+    const auto names = span_counts(trace);
+    EXPECT_EQ(names.size(), 2u) << (p != nullptr ? "pool" : "inline");
+    EXPECT_EQ(names.at("sweep"), r.sweeps);
+    EXPECT_EQ(names.at("finalize"), 1u);
+  }
 }
 
 TEST(ObsTrace, SpansNestWellFormedPerTimeline) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
   obs::TraceRecorder trace;
   obs::MetricsRegistry metrics;
   const Matrix a = test_matrix(32, 24);
@@ -264,6 +292,7 @@ TEST(ObsTrace, SpansNestWellFormedPerTimeline) {
 // --- Counter tracks (trace schema v2) --------------------------------------
 
 TEST(ObsTrace, SimulatorEmitsFifoCounterTrack) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
   obs::TraceRecorder trace;
   arch::AcceleratorConfig cfg;
   cfg.obs.trace = &trace;
@@ -283,6 +312,7 @@ TEST(ObsTrace, SimulatorEmitsFifoCounterTrack) {
 }
 
 TEST(ObsTrace, SimulatorEventsUseSimulatorPid) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
   obs::TraceRecorder trace;
   arch::AcceleratorConfig cfg;
   cfg.obs.trace = &trace;
@@ -413,11 +443,12 @@ TEST(ObsMetrics, UnitAndTypeMismatchThrows) {
 // --- Convergence-series unification ---------------------------------------
 
 TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
   const Matrix a = test_matrix(24, 16);
   // The plain engine gives the same bits inline and on a pool; every engine
   // must at least record the same series names with one point per sweep.
   HestenesConfig cfg;
-  obs::MetricsRegistry seq, plain, par_plain, block_cfg_reg;
+  obs::MetricsRegistry seq, plain, par_plain;
   {
     HestenesConfig c = cfg;
     c.obs.metrics = &seq;
@@ -434,13 +465,7 @@ TEST(ObsMetrics, AllEnginesRecordSameConvergenceSeries) {
     WorkStealingPool pool(2);
     plain_hestenes_svd(a, c, nullptr, &pool);
   }
-  {
-    BlockHestenesConfig c;
-    c.obs.metrics = &block_cfg_reg;
-    block_hestenes_svd(a, c);
-  }
-  const obs::MetricsRegistry* regs[] = {&seq, &plain, &par_plain,
-                                        &block_cfg_reg};
+  const obs::MetricsRegistry* regs[] = {&seq, &plain, &par_plain};
   for (const auto* reg : regs) {
     for (const char* series : {"svd.sweep.offdiag_frobenius",
                                "svd.sweep.max_rel_offdiag",
@@ -509,6 +534,7 @@ TEST(ObsManifest, CarriesProvenanceAndSchemaVersions) {
 }
 
 TEST(ObsMetrics, BatchLevelMetricsFromSvdBatch) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out (HJSVD_OBS=OFF)";
   std::vector<Matrix> batch;
   for (std::uint64_t s = 0; s < 4; ++s) batch.push_back(test_matrix(12, 8, s));
   obs::TraceRecorder trace;

@@ -278,6 +278,7 @@ TEST(ServeServer, DeadlineExpiredWhileQueued) {
   EXPECT_NE(log.reply("patient").find("\"status\":\"ok\""), std::string::npos)
       << log.reply("patient");
   server.stop();
+  if (!obs::kEnabled) return;  // the replies above carry the verdicts
   EXPECT_EQ(metrics.counter("serve.expired.deadline").value_or(0), 1u);
   EXPECT_EQ(metrics.counter("serve.replies_ok").value_or(0), 1u);
 }
@@ -294,19 +295,22 @@ TEST(ServeServer, OverloadRejectionIsDeterministic) {
   SvdServer server(config);
   ReplyLog log;
   Rng rng(6);
+  // append(), not operator+: GCC 12 reports a false -Wrestrict on
+  // "literal" + std::string in this test.
+  const auto id = [](int k) {
+    return std::string("q").append(std::to_string(k));
+  };
   for (int k = 0; k < 7; ++k)
-    server.submit_line(make_frame("q" + std::to_string(k), 5, 3, rng),
-                       log.sink());
+    server.submit_line(make_frame(id(k), 5, 3, rng), log.sink());
   // Rejections replied synchronously, before any dispatch.
   for (int k = 3; k < 7; ++k)
-    EXPECT_TRUE(is_error(log.reply("q" + std::to_string(k)), kErrOverload))
-        << log.reply("q" + std::to_string(k));
+    EXPECT_TRUE(is_error(log.reply(id(k)), kErrOverload)) << log.reply(id(k));
   EXPECT_EQ(server.queue_depth(), 3u);
   server.drain();
   for (int k = 0; k < 3; ++k)
-    EXPECT_NE(log.reply("q" + std::to_string(k)).find("\"status\":\"ok\""),
-              std::string::npos);
+    EXPECT_NE(log.reply(id(k)).find("\"status\":\"ok\""), std::string::npos);
   server.stop();
+  if (!obs::kEnabled) return;  // the replies above carry the verdicts
   EXPECT_EQ(metrics.counter("serve.requests_total").value_or(0), 7u);
   EXPECT_EQ(metrics.counter("serve.admitted_total").value_or(0), 3u);
   EXPECT_EQ(metrics.counter("serve.rejected.overload").value_or(0), 4u);
